@@ -5,7 +5,7 @@ forcing function f (using the Laplacian of the exact solution), so the
 Galerkin system is solved only for the inter-element boundary unknowns.
 """
 
-from .mesh import Mesh, Point2, build_crisscross_mesh, edge_gauss_points, mesh_to_text
+from .mesh import Mesh, build_crisscross_mesh, edge_gauss_points
 from .poly import BPoly, QuadRule, TriGeom, bpoly_eval, bpoly_grad, \
     bpoly_from_point_values, bpoly_laplacian, make_quad_rule
 from .elements import DofDescriptor, LocalElement, build_fs_bubble, \
@@ -13,8 +13,8 @@ from .elements import DofDescriptor, LocalElement, build_fs_bubble, \
     build_p3_basis, build_pk_basis, gram_schmidt_pj
 from .assembly import DofMap, FAMILIES, SparseSystem, Space, assemble_system, \
     build_dof_map, build_space, interior_coefficients
-from .solver import ConditionEstimate, CsrMatrix, SolveStats, SolverError, \
-    cg_solve, estimate_condition, matrix_to_coordinate_text
+from .solver import ConditionEstimate, SolveStats, SolverError, cg_solve, \
+    estimate_condition
 from .analysis import ErrorRecord, FeFunction, convergence_orders, error_norms, \
     interpolate_exact
 from .cli import ConvergenceReport, ExperimentConfig, PROBLEMS, Problem, \

@@ -34,39 +34,40 @@ __all__ = [
 class FeFunction:
     """Finite element function: free + interpolated coefficients on a Space.
 
-    `local_coeffs` may be overridden per element (list of local vectors) for
-    broken interpolants that do not share nodal values across elements.
+    `interp` holds the interpolated coefficients, one row per element.
+    `local_coeffs` may be overridden per element (one local vector per
+    element) for broken interpolants that do not share nodal values across
+    elements.
     """
 
     space: Space
     free: np.ndarray
-    interp: list
+    interp: np.ndarray       # (E, n_interp per element)
     override: list | None = None
+
+    def __post_init__(self):
+        self.interp = np.asarray(self.interp, dtype=float)
 
     @classmethod
     def zero(cls, space: Space) -> "FeFunction":
         dm = space.dof_map
-        interp = [np.zeros(sum(1 for s in slots if s[0] == "interp"))
-                  for slots in dm.slots]
-        return cls(space=space, free=np.zeros(dm.n_free), interp=interp)
+        return cls(space=space, free=np.zeros(dm.n_free),
+                   interp=np.zeros((dm.n_elements, int(dm.interp_mask.sum()))))
 
     def local_coeffs(self, eid: int) -> np.ndarray:
         if self.override is not None:
             return self.override[eid]
-        slots = self.space.dof_map.slots[eid]
-        out = np.zeros(len(slots))
-        ci = self.interp[eid]
-        for loc, (tag, idx) in enumerate(slots):
-            if tag == "free":
-                out[loc] = self.free[idx]
-            elif tag == "interp":
-                out[loc] = ci[idx]
+        dm = self.space.dof_map
+        dofs = dm.dofs[eid]
+        free = dofs >= 0
+        out = np.zeros(len(dofs))
+        out[free] = self.free[dofs[free]]
+        out[dm.interp_mask] = self.interp[eid]
         return out
 
     def scaled(self, s: float) -> "FeFunction":
         override = None if self.override is None else [s * v for v in self.override]
-        return FeFunction(self.space, s * self.free, [s * c for c in self.interp],
-                          override)
+        return FeFunction(self.space, s * self.free, s * self.interp, override)
 
 
 def _nc_local_interpolant(element, geom, u) -> np.ndarray:
@@ -88,11 +89,8 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
     """
     dm = space.dof_map
     free = np.zeros(dm.n_free)
-    interp = []
-    override = None
-
     if space.family in ("p2nc_interp", "p2nc_std"):
-        override = []
+        interp, override = [], []
         for eid, element in enumerate(space.elements):
             geom = element.geoms[0]
             a = _nc_local_interpolant(element, geom, u)
@@ -111,12 +109,11 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
         return FeFunction(space=space, free=free, interp=interp, override=override)
 
     for eid, element in enumerate(space.elements):
-        slots = dm.slots[eid]
-        for loc, (tag, idx) in enumerate(slots):
-            if tag == "free" and element.dofs[loc].kind == "node":
+        for loc in np.flatnonzero(dm.dofs[eid] >= 0):
+            if element.dofs[loc].kind == "node":
                 x, y = element.dofs[loc].point
-                free[idx] = u(x, y)
-        interp.append(interior_coefficients(element, f))
+                free[dm.dofs[eid, loc]] = u(x, y)
+    interp = [interior_coefficients(element, f) for element in space.elements]
     return FeFunction(space=space, free=free, interp=interp)
 
 

@@ -9,15 +9,14 @@ Homogeneous Dirichlet DOFs are eliminated by row/column deletion.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import Mesh
 from .poly import TriGeom, bpoly_eval, make_quad_rule, MAX_QUAD_DEGREE
-from .solver import CsrMatrix
 
 __all__ = [
     "FAMILIES",
@@ -93,20 +92,33 @@ def build_local_element(mesh: Mesh, family: str, k: int, eid: int) -> el.LocalEl
 
 @dataclass
 class DofMap:
-    """Partition of all local DOFs into free, interpolated, and boundary."""
+    """Global numbering of the local slots of every element.
+
+    `dofs[e, m]` is the free unknown of local slot m of element e, or -1
+    where that slot has none: a Dirichlet boundary slot, or an interpolated
+    slot.  The interpolated slots sit at the same local positions in every
+    element (`interp_mask`); their coefficients come from f.
+    """
 
     family: str
     k: int
     n_free: int
-    n_interp: int
     n_boundary: int
-    slots: list            # per element: list of ('free', g) | ('interp', j) | ('bc', None)
-    free_keys: list        # sorted entity keys, index = global free number
-    local_free_slots: int  # non-interpolated local slots per element
+    dofs: np.ndarray         # (E, nb) int
+    interp_mask: np.ndarray  # (nb,) bool
 
     @property
     def n_elements(self) -> int:
-        return len(self.slots)
+        return len(self.dofs)
+
+    @property
+    def n_interp(self) -> int:
+        return self.n_elements * int(self.interp_mask.sum())
+
+    @property
+    def local_free_slots(self) -> int:
+        """Non-interpolated local slots per element."""
+        return int((~self.interp_mask).sum())
 
 
 def _simplex_slot_layout(family: str, k: int):
@@ -126,88 +138,67 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     """Number global DOFs: shared entities identified, boundary DOFs constrained.
 
     Interior slots are interpolated for the interpolated families; for
-    pk_lagrange and p2nc_std they are ordinary free unknowns.
+    pk_lagrange and p2nc_std they are ordinary free unknowns.  Free unknowns
+    are numbered in the order of their entity keys: vertices, then edge
+    nodes (edge id, position along the edge), then element-interior slots
+    (element id, slot).
     """
     k = resolve_degree(family, k)
     if family == "p2c_interp" and mesh.perturbation != 0.0:
         raise ValueError("p2c_interp requires an unperturbed criss-cross mesh")
 
-    interpolated = family in INTERPOLATED_FAMILIES
-    raw_slots: list[list] = []   # per element: ('key', key, boundary) | ('interp', j)
-    free_keys: set = set()
-    bc_keys: set = set()
-
-    def node_key(tri, alpha):
-        nz = [i for i in range(3) if alpha[i] > 0]
-        if len(nz) == 1:
-            v = int(tri[nz[0]])
-            return (0, v, 0), bool(mesh.vertex_boundary[v])
-        if len(nz) == 2:
-            i, j = nz
-            vi, vj = int(tri[i]), int(tri[j])
-            eid = mesh.edge_id(vi, vj)
-            pos = alpha[j] if vi < vj else alpha[i]
-            return (1, eid, pos), bool(mesh.edge_boundary[eid])
-        return None, False  # interior lattice node
-
+    # per local slot: (key category, entity id, position, on the boundary)
+    # over all elements, or None for an interpolated slot
+    columns = []
     if family == "p2c_interp":
-        for m in range(mesh.num_macros):
-            slots = []
-            for c in mesh.macro_corners[m]:
-                key = (0, int(c), 0)
-                slots.append(("key", key, bool(mesh.vertex_boundary[c])))
-            for e in mesh.macro_side_edges[m]:
-                key = (1, int(e), 0)
-                slots.append(("key", key, bool(mesh.edge_boundary[e])))
-            slots.append(("interp", 0))
-            raw_slots.append(slots)
+        for c in mesh.macro_corners.T:
+            columns.append((0, c, 0, mesh.vertex_boundary[c]))
+        for e in mesh.macro_side_edges.T:
+            columns.append((1, e, 0, mesh.edge_boundary[e]))
+        columns.append(None)
+        n_el = mesh.num_macros
     else:
-        layout = _simplex_slot_layout(family, k)
-        for t in range(mesh.num_triangles):
-            tri = mesh.triangles[t]
-            slots = []
-            j_interp = 0
-            for kind, alpha in layout:
-                if kind == "lap":
-                    if interpolated:
-                        slots.append(("interp", j_interp))
-                        j_interp += 1
-                    else:
-                        slots.append(("key", (2, t, alpha if alpha is not None else 0), False))
-                    continue
-                key, bnd = node_key(tri, alpha)
-                if key is None:
-                    slots.append(("key", (3, t) + tuple(alpha), False))
-                else:
-                    slots.append(("key", key, bnd))
-            raw_slots.append(slots)
+        interpolated = family in INTERPOLATED_FAMILIES
+        tris = mesh.triangles
+        t = np.arange(mesh.num_triangles)
+        interior = sorted(a for a in el.multi_indices(k) if min(a) > 0)
+        for kind, alpha in _simplex_slot_layout(family, k):
+            if kind == "lap":
+                columns.append(None if interpolated else
+                               (2, t, alpha if alpha is not None else 0, False))
+                continue
+            nz = [i for i in range(3) if alpha[i] > 0]
+            if len(nz) == 1:
+                v = tris[:, nz[0]]
+                columns.append((0, v, 0, mesh.vertex_boundary[v]))
+            elif len(nz) == 2:
+                i, j = nz
+                vi, vj = tris[:, i], tris[:, j]
+                e = mesh.edge_id(vi, vj)
+                columns.append((1, e, np.where(vi < vj, alpha[j], alpha[i]),
+                                mesh.edge_boundary[e]))
+            else:  # interior lattice node, ranked in lexicographic order
+                columns.append((3, t, interior.index(alpha), False))
+        n_el = mesh.num_triangles
 
-    for slots in raw_slots:
-        for s in slots:
-            if s[0] == "key":
-                (bc_keys if s[2] else free_keys).add(s[1])
-    free_sorted = sorted(free_keys)
-    index = {key: g for g, key in enumerate(free_sorted)}
-
-    final = []
-    n_interp = 0
-    for slots in raw_slots:
-        out = []
-        for s in slots:
-            if s[0] == "interp":
-                out.append(("interp", s[1]))
-                n_interp += 1
-            elif s[2]:
-                out.append(("bc", None))
-            else:
-                out.append(("free", index[s[1]]))
-        final.append(out)
-
-    n_local = len(final[0])
-    n_interior_slots = sum(1 for s in final[0] if s[0] == "interp")
-    return DofMap(family=family, k=k, n_free=len(free_sorted), n_interp=n_interp,
-                  n_boundary=len(bc_keys), slots=final, free_keys=free_sorted,
-                  local_free_slots=n_local - n_interior_slots)
+    # one integer per entity key, ordered as the keys are
+    stride = max(mesh.num_vertices, mesh.num_edges, mesh.num_triangles,
+                 len(columns)) + 1
+    code = np.zeros((n_el, len(columns)), dtype=np.int64)
+    boundary = np.zeros((n_el, len(columns)), dtype=bool)
+    for m, col in enumerate(columns):
+        if col is not None:
+            category, entity, position, bnd = col
+            code[:, m] = (category * stride + entity) * stride + position
+            boundary[:, m] = bnd
+    interp_mask = np.array([col is None for col in columns])
+    free = ~boundary & ~interp_mask
+    keys, index = np.unique(code[free], return_inverse=True)
+    dofs = np.full(code.shape, -1, dtype=np.int64)
+    dofs[free] = index
+    return DofMap(family=family, k=k, n_free=len(keys),
+                  n_boundary=len(np.unique(code[boundary])),
+                  dofs=dofs, interp_mask=interp_mask)
 
 
 @dataclass
@@ -225,17 +216,11 @@ class Space:
         return len(self.elements)
 
 
-def build_space(mesh: Mesh, family: str, k: int | None = None,
-                workers: int = 1) -> Space:
+def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     k = resolve_degree(family, k)
     dof_map = build_dof_map(mesh, family, k)
     n = mesh.num_macros if family == "p2c_interp" else mesh.num_triangles
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            elems = list(pool.map(lambda e: build_local_element(mesh, family, k, e),
-                                  range(n)))
-    else:
-        elems = [build_local_element(mesh, family, k, e) for e in range(n)]
+    elems = [build_local_element(mesh, family, k, e) for e in range(n)]
     return Space(mesh=mesh, family=family, k=k, elements=elems, dof_map=dof_map)
 
 
@@ -266,9 +251,9 @@ def interior_coefficients(element: el.LocalElement, f) -> np.ndarray:
 class SparseSystem:
     """Reduced Galerkin system: A x = F over the free DOFs."""
 
-    A: CsrMatrix
+    A: sp.csr_array
     F: np.ndarray
-    interp_coeffs: list          # per element, empty arrays for baselines
+    interp_coeffs: np.ndarray    # (E, n_interp per element); zero columns for baselines
     space: Space
 
 
@@ -293,7 +278,7 @@ def _element_contribution(space: Space, f, eid: int):
 
 
 def assemble_system(mesh_or_space, family: str | None = None, k: int | None = None,
-                    f=None, workers: int = 1) -> SparseSystem:
+                    f=None) -> SparseSystem:
     """Assemble the reduced system for right-hand side f.
 
     Accepts either a Mesh (family/k required) or a prebuilt Space.
@@ -303,33 +288,27 @@ def assemble_system(mesh_or_space, family: str | None = None, k: int | None = No
     if isinstance(mesh_or_space, Space):
         space = mesh_or_space
     else:
-        space = build_space(mesh_or_space, family, k, workers=workers)
+        space = build_space(mesh_or_space, family, k)
     if f is None:
         raise ValueError("assemble_system needs a right-hand side f(x, y)")
     dm = space.dof_map
+    contribs = [_element_contribution(space, f, e) for e in range(space.n_elements)]
+    S = np.array([s for s, _, _ in contribs])            # (E, nb, nb)
+    L = np.array([l for _, l, _ in contribs])            # (E, nb)
+    c = np.array([ci for _, _, ci in contribs])          # (E, n_interp)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contribs = list(pool.map(lambda e: _element_contribution(space, f, e),
-                                     range(space.n_elements)))
-    else:
-        contribs = [_element_contribution(space, f, e) for e in range(space.n_elements)]
-
-    rows, cols, vals = [], [], []
+    # The order of the COO entries (element, local row, local column) and of
+    # the additions into F fixes the rounding of A and F, and CG at the
+    # default tolerance is sensitive to their last bits.
+    free = dm.dofs >= 0
+    pair = free[:, :, None] & free[:, None, :]
+    rows = np.broadcast_to(dm.dofs[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(dm.dofs[:, None, :], pair.shape)[pair]
+    A = sp.coo_array((S[pair], (rows, cols)), shape=(dm.n_free, dm.n_free)).tocsr()
+    # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated j
+    terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
+                           axis=2)
     F = np.zeros(dm.n_free)
-    interp_coeffs = []
-    for eid, (S, L, c) in enumerate(contribs):
-        slots = dm.slots[eid]
-        interp_coeffs.append(c)
-        free = [(loc, g) for loc, (tag, g) in enumerate(slots) if tag == "free"]
-        interp = [(loc, j) for loc, (tag, j) in enumerate(slots) if tag == "interp"]
-        for loc_m, g_m in free:
-            F[g_m] += L[loc_m]
-            for loc_n, g_n in free:
-                rows.append(g_m)
-                cols.append(g_n)
-                vals.append(S[loc_m, loc_n])
-            for loc_j, j in interp:
-                F[g_m] -= S[loc_m, loc_j] * c[j]
-    A = CsrMatrix.from_coo(dm.n_free, rows, cols, vals)
-    return SparseSystem(A=A, F=F, interp_coeffs=interp_coeffs, space=space)
+    np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
+              terms[free].ravel())
+    return SparseSystem(A=A, F=F, interp_coeffs=c, space=space)

@@ -3,7 +3,7 @@ against the matching baseline, and emit text/csv/json reports.
 
 Errors are printed in fixed-point exponent style (0.614E-03) and observed
 orders to one decimal, so text reports diff directly against reference
-tables.  Serial runs are byte-reproducible.
+tables.  Runs with the same BLAS thread count are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -101,7 +100,6 @@ class ExperimentConfig:
     output_format: str = "text"
     compare: bool = False
     condition: bool = False
-    parallel: bool = False
 
     def validate(self) -> None:
         self.degree = resolve_degree(self.family, self.degree)
@@ -130,14 +128,14 @@ class ExperimentConfig:
         return {"family": self.family, "degree": self.degree,
                 "levels": list(self.levels), "problem": self.problem,
                 "tol": self.tol, "compare": self.compare,
-                "condition": self.condition, "parallel": self.parallel}
+                "condition": self.condition}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return cls(family=d["family"], degree=d["degree"],
                    levels=tuple(d["levels"]), problem=d["problem"],
                    tol=d["tol"], compare=d["compare"],
-                   condition=d["condition"], parallel=d["parallel"])
+                   condition=d["condition"])
 
 
 _ROW_KEYS = ("level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",
@@ -170,13 +168,12 @@ class ConvergenceReport:
 
 
 def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
-                condition: bool, parallel: bool, failures: list) -> list[dict]:
-    workers = (os.cpu_count() or 1) if parallel else 1
+                condition: bool, failures: list) -> list[dict]:
     rows = []
     for level in levels:
         mesh = build_crisscross_mesh(level)
-        space = build_space(mesh, family, k, workers=workers)
-        system = assemble_system(space, f=problem.f, workers=workers)
+        space = build_space(mesh, family, k)
+        system = assemble_system(space, f=problem.f)
         dm = space.dof_map
         try:
             if dm.n_free:
@@ -202,6 +199,8 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             row["cond_est"] = est.condition
             row["lambda_max"] = est.lambda_max
             row["lambda_min"] = est.lambda_min_nonzero
+            row["cond_converged"] = est.converged
+            row["null_dim"] = est.null_dim
         rows.append(row)
     for key, okey in (("l2_ih", "order_l2"), ("h1_ih", "order_h1")):
         orders = convergence_orders([r[key] for r in rows])
@@ -220,19 +219,24 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     problem = PROBLEMS[config.problem]
     failures: list = []
     rows = _run_family(config.family, config.degree, config.levels, problem,
-                       config.tol, config.condition, config.parallel, failures)
+                       config.tol, config.condition, failures)
     baseline_rows = None
     if config.compare:
         bfam, bk = config.baseline()
         baseline_rows = _run_family(bfam, bk, config.levels, problem,
-                                    config.tol, config.condition,
-                                    config.parallel, failures)
+                                    config.tol, config.condition, failures)
     return ConvergenceReport(config=config, rows=rows,
                              baseline_rows=baseline_rows, failures=failures)
 
 
 def fixed_sci(v: float) -> str:
-    """Fixed-point scientific notation with 3 digits: 6.14e-4 -> 0.614E-03."""
+    """Fixed-point scientific notation with 3 digits: 6.14e-4 -> 0.614E-03.
+
+    NaN and infinities print right-aligned in the same 9 columns, so an
+    unconverged estimate keeps the table layout.
+    """
+    if not math.isfinite(v):
+        return f"{'NaN' if math.isnan(v) else '-Inf' if v < 0 else 'Inf':>9s}"
     if v == 0.0:
         return "0.000E+00"
     sign = "-" if v < 0 else ""
@@ -369,9 +373,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="estimate extreme eigenvalues of each system")
     p.add_argument("--tol", type=float, default=1e-13,
                    help="CG relative residual tolerance")
-    p.add_argument("--parallel", action="store_true",
-                   help="thread the element loops (results are reduced "
-                        "in element order and stay deterministic)")
     return p
 
 
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
             family=args.family, degree=args.degree, levels=levels,
             problem=args.problem, tol=args.tol,
             output_format=args.output_format, compare=args.compare,
-            condition=args.condition, parallel=args.parallel)
+            condition=args.condition)
         config.validate()
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,28 +9,21 @@ derived orderings are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Point2",
     "Mesh",
     "build_crisscross_mesh",
     "edge_gauss_points",
     "triangle_gauss_points",
-    "mesh_to_text",
 ]
 
 # 2-point Gauss-Legendre parameters on [0, 1]
 _GAUSS_T1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
 _GAUSS_T2 = 0.5 * (1.0 + 1.0 / math.sqrt(3.0))
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass
@@ -50,13 +43,10 @@ class Mesh:
     edge_tris: np.ndarray         # (E, 2) int, -1 where absent
     edge_boundary: np.ndarray     # (E,) bool
     triangles: np.ndarray         # (T, 3) int, positively oriented
-    tri_macro: np.ndarray         # (T,) int parent macro-square
     macro_corners: np.ndarray     # (M, 4) int  (SW, SE, NE, NW)
     macro_centers: np.ndarray     # (M,) int
-    macro_side_mids: np.ndarray   # (M, 4, 2) float (bottom, right, top, left)
     macro_side_edges: np.ndarray  # (M, 4) int edge ids of the square sides
     perturbation: float = 0.0
-    _edge_index: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -74,16 +64,25 @@ class Mesh:
     def num_macros(self) -> int:
         return len(self.macro_corners)
 
-    def edge_id(self, v0: int, v1: int) -> int:
-        """Edge id for a vertex pair (order-insensitive)."""
-        key = (v0, v1) if v0 < v1 else (v1, v0)
-        return self._edge_index[key]
+    def edge_id(self, v0, v1):
+        """Edge ids of the vertex pairs (v0[i], v1[i]), in either order.
+
+        Takes vertex ids or arrays of them; raises KeyError for a pair that
+        is not an edge.
+        """
+        nv = self.num_vertices
+        codes = self.edges[:, 0] * nv + self.edges[:, 1]
+        order = np.argsort(codes)
+        query = np.minimum(v0, v1) * nv + np.maximum(v0, v1)
+        ids = order[np.minimum(np.searchsorted(codes[order], query), len(order) - 1)]
+        if np.any(codes[ids] != query):
+            raise KeyError(f"not an edge of the mesh: ({v0}, {v1})")
+        return ids
 
     def _freeze(self) -> None:
         for a in (self.vertices, self.vertex_boundary, self.edges,
                   self.edge_tris, self.edge_boundary, self.triangles,
-                  self.tri_macro, self.macro_corners, self.macro_centers,
-                  self.macro_side_mids, self.macro_side_edges):
+                  self.macro_corners, self.macro_centers, self.macro_side_edges):
             a.setflags(write=False)
 
 
@@ -118,17 +117,17 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
             verts[center_id(i, j)] = ((i + 0.5) * h, (j + 0.5) * h)
 
     if perturb > 0.0:
-        rng = np.random.default_rng(abs(hash(("crisscross", level, round(perturb, 12)))) % 2 ** 32)
+        # str hashes change from process to process (PEP 456); crc32 does not
+        seed = zlib.crc32(f"crisscross {level} {round(perturb, 12)!r}".encode())
+        rng = np.random.default_rng(seed)
         interior = ~vbnd
         interior[(n + 1) ** 2:] = False  # centers stay put
         shift = rng.uniform(-1.0, 1.0, size=(nv, 2)) * (perturb * h)
         verts[interior] += shift[interior]
 
     tris = []
-    tri_macro = []
     macro_corners = np.zeros((n * n, 4), dtype=int)
     macro_centers = np.zeros(n * n, dtype=int)
-    macro_side_mids = np.zeros((n * n, 4, 2))
     for j in range(n):
         for i in range(n):
             m = j * n + i
@@ -137,16 +136,10 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
             c = center_id(i, j)
             macro_corners[m] = (sw, se, ne, nw)
             macro_centers[m] = c
-            macro_side_mids[m, 0] = 0.5 * (verts[sw] + verts[se])
-            macro_side_mids[m, 1] = 0.5 * (verts[se] + verts[ne])
-            macro_side_mids[m, 2] = 0.5 * (verts[ne] + verts[nw])
-            macro_side_mids[m, 3] = 0.5 * (verts[nw] + verts[sw])
             # cyclic: bottom, right, top, left; center last in each triangle
             for a, b in ((sw, se), (se, ne), (ne, nw), (nw, sw)):
                 tris.append((a, b, c))
-                tri_macro.append(m)
     tris = np.array(tris, dtype=int)
-    tri_macro = np.array(tri_macro, dtype=int)
 
     # orientation check (also guards perturbation flips)
     v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
@@ -183,24 +176,24 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
 
     mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,
                 edges=edges, edge_tris=edge_tris, edge_boundary=edge_boundary,
-                triangles=tris, tri_macro=tri_macro,
-                macro_corners=macro_corners, macro_centers=macro_centers,
-                macro_side_mids=macro_side_mids, macro_side_edges=macro_side_edges,
-                perturbation=perturb, _edge_index=edge_index)
+                triangles=tris, macro_corners=macro_corners,
+                macro_centers=macro_centers, macro_side_edges=macro_side_edges,
+                perturbation=perturb)
     mesh._freeze()
     return mesh
 
 
-def edge_gauss_points(p0: Point2, p1: Point2) -> tuple[Point2, Point2]:
-    """The two 2-point Gauss-Legendre nodes of segment p0-p1, in parameter order."""
-    p0 = Point2(*p0)
-    p1 = Point2(*p1)
-    dx, dy = p1.x - p0.x, p1.y - p0.y
+def edge_gauss_points(p0, p1) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two 2-point Gauss-Legendre nodes of segment p0-p1, in parameter order.
+
+    p0 and p1 are (x, y) pairs; so are the two nodes returned.
+    """
+    (x0, y0), (x1, y1) = p0, p1
+    dx, dy = x1 - x0, y1 - y0
     if dx * dx + dy * dy == 0.0:
         raise ValueError("degenerate edge: endpoints coincide")
-    g1 = Point2(p0.x + _GAUSS_T1 * dx, p0.y + _GAUSS_T1 * dy)
-    g2 = Point2(p0.x + _GAUSS_T2 * dx, p0.y + _GAUSS_T2 * dy)
-    return g1, g2
+    return ((x0 + _GAUSS_T1 * dx, y0 + _GAUSS_T1 * dy),
+            (x0 + _GAUSS_T2 * dx, y0 + _GAUSS_T2 * dy))
 
 
 def triangle_gauss_points(verts: np.ndarray) -> np.ndarray:
@@ -208,17 +201,5 @@ def triangle_gauss_points(verts: np.ndarray) -> np.ndarray:
     verts = np.asarray(verts, dtype=float)
     pts = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        g1, g2 = edge_gauss_points(Point2(*verts[i]), Point2(*verts[j]))
-        pts.append(g1)
-        pts.append(g2)
+        pts.extend(edge_gauss_points(verts[i], verts[j]))
     return np.array(pts)
-
-
-def mesh_to_text(mesh: Mesh) -> str:
-    """Plain-text dump: header `V E T`, then vertex lines, then triangle lines."""
-    lines = [f"{mesh.num_vertices} {mesh.num_edges} {mesh.num_triangles}"]
-    for v, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"v {float(x)!r} {float(y)!r} {int(mesh.vertex_boundary[v])}")
-    for t, (i, j, k) in enumerate(mesh.triangles):
-        lines.append(f"t {i} {j} {k} {mesh.tri_macro[t]}")
-    return "\n".join(lines) + "\n"

@@ -69,10 +69,6 @@ class TriGeom:
         v = self.vertices
         return max(np.hypot(*(v[i] - v[j])) for i, j in ((0, 1), (1, 2), (2, 0)))
 
-    def to_physical(self, bary) -> np.ndarray:
-        """Map barycentric points (..., 3) to physical coordinates (..., 2)."""
-        return np.asarray(bary, dtype=float) @ self.vertices
-
     def to_barycentric(self, point) -> np.ndarray:
         """Barycentric coordinates of a physical point."""
         p = np.asarray(point, dtype=float)
@@ -236,11 +232,6 @@ class QuadRule:
     points: np.ndarray   # (P, 3)
     weights: np.ndarray  # (P,)
     exactness_degree: int
-
-    def integrate(self, geom: TriGeom, func) -> float:
-        """Integrate a callable of physical coordinates over the triangle."""
-        xy = self.points @ geom.vertices
-        return geom.area * float(self.weights @ func(xy[:, 0], xy[:, 1]))
 
 
 def _compositions(total: int, parts: int):

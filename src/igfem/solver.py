@@ -16,67 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "CsrMatrix",
     "SolveStats",
     "SolverError",
     "ConditionEstimate",
     "cg_solve",
     "estimate_condition",
-    "matrix_to_coordinate_text",
 ]
-
-
-@dataclass
-class CsrMatrix:
-    """Compressed sparse row storage of a structurally symmetric matrix."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    n: int
-
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "CsrMatrix":
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(indptr=m.indptr, indices=m.indices, data=m.data, n=n)
-
-    @classmethod
-    def from_dense(cls, dense) -> "CsrMatrix":
-        m = sp.csr_matrix(np.asarray(dense, dtype=float))
-        m.sort_indices()
-        return cls(indptr=m.indptr, indices=m.indices, data=m.data, n=m.shape[0])
-
-    def _scipy(self) -> sp.csr_matrix:
-        m = getattr(self, "_cached", None)
-        if m is None:
-            m = sp.csr_matrix((self.data, self.indices, self.indptr),
-                              shape=(self.n, self.n))
-            self._cached = m
-        return m
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._scipy() @ x
-
-    def diagonal(self) -> np.ndarray:
-        return self._scipy().diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self._scipy().toarray()
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-
-def matrix_to_coordinate_text(A: CsrMatrix) -> str:
-    """Coordinate dump, one `row col value` line per stored entry."""
-    lines = []
-    for i in range(A.n):
-        for p in range(A.indptr[i], A.indptr[i + 1]):
-            lines.append(f"{i} {A.indices[p]} {float(A.data[p])!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass
@@ -96,7 +41,7 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def cg_solve(A: CsrMatrix, F: np.ndarray, rel_tol: float = 1e-13,
+def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
              max_iter: int | None = None, jacobi_precondition: bool = True,
              callback=None) -> tuple[np.ndarray, SolveStats]:
     """Conjugate gradients from a zero initial guess.
@@ -105,7 +50,7 @@ def cg_solve(A: CsrMatrix, F: np.ndarray, rel_tol: float = 1e-13,
     max_iter (default 20 n) is exhausted first.
     """
     t0 = time.perf_counter()
-    n = A.n
+    n = A.shape[0]
     F = np.asarray(F, dtype=float)
     if n == 0:
         return np.zeros(0), SolveStats(0, 0.0, time.perf_counter() - t0)
@@ -138,7 +83,7 @@ def cg_solve(A: CsrMatrix, F: np.ndarray, rel_tol: float = 1e-13,
             f"({why}, best residual {best_res:.3e})", stats, best_x, best_r)
 
     for it in range(1, max_iter + 1):
-        Ap = A.matvec(p)
+        Ap = A @ p
         pAp = p @ Ap
         if pAp <= 0.0:
             # numerically null search direction of a semidefinite matrix
@@ -175,18 +120,18 @@ class ConditionEstimate:
     null_dim: int = 0
 
 
-def _power_iteration(A: CsrMatrix, rng, tol=1e-8, max_iter=20000):
-    v = rng.standard_normal(A.n)
+def _power_iteration(A: sp.csr_array, rng, tol=1e-8, max_iter=20000):
+    v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     rho = 0.0
     converged = False
     for _ in range(max_iter):
-        w = A.matvec(v)
+        w = A @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0, v, True
         v_new = w / nw
-        rho_new = v_new @ A.matvec(v_new)
+        rho_new = v_new @ (A @ v_new)
         if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
             rho = rho_new
             v = v_new
@@ -196,19 +141,19 @@ def _power_iteration(A: CsrMatrix, rng, tol=1e-8, max_iter=20000):
     return rho, v, converged
 
 
-def estimate_condition(A: CsrMatrix, seed: int = 0) -> ConditionEstimate:
+def estimate_condition(A: sp.csr_array, seed: int = 0) -> ConditionEstimate:
     """Extreme-eigenvalue estimates of a symmetric PSD matrix.
 
     Power iteration for the largest eigenvalue; CG-based inverse iteration
     for the smallest nonzero one, deflating a null vector if CG stagnation
     reveals one.  Targets about 1% relative accuracy.
     """
-    if A.n == 0:
+    if A.shape[0] == 0:
         raise ValueError("cannot estimate the condition of an empty matrix")
     rng = np.random.default_rng(seed)
     lam_max, _, ok_max = _power_iteration(A, rng)
-    if A.n == 1:
-        lam = float(A.to_dense()[0, 0])
+    if A.shape[0] == 1:
+        lam = float(A.toarray()[0, 0])
         return ConditionEstimate(lam, lam, 1.0, True)
 
     null_vecs: list[np.ndarray] = []
@@ -221,7 +166,7 @@ def estimate_condition(A: CsrMatrix, seed: int = 0) -> ConditionEstimate:
     def range_start():
         # A @ random lies in range(A), so inverse iteration never needs the
         # (possibly absent) null-space component solved
-        v = deflate(A.matvec(rng.standard_normal(A.n)))
+        v = deflate(A @ rng.standard_normal(A.shape[0]))
         nv = np.linalg.norm(v)
         return v / nv if nv > 0 else None
 
@@ -233,7 +178,7 @@ def estimate_condition(A: CsrMatrix, seed: int = 0) -> ConditionEstimate:
         if nc == 0.0 or len(null_vecs) >= 3:
             return False
         cand = cand / nc
-        if np.linalg.norm(A.matvec(cand)) <= 1e-6 * max(lam_max, 1.0):
+        if np.linalg.norm(A @ cand) <= 1e-6 * max(lam_max, 1.0):
             null_vecs.append(cand)
             return True
         return False
@@ -248,7 +193,7 @@ def estimate_condition(A: CsrMatrix, seed: int = 0) -> ConditionEstimate:
         try:
             # unpreconditioned: Krylov iterates then stay in range(A), so a
             # singular matrix cannot leak null content into the iteration
-            y, _ = cg_solve(A, v, rel_tol=1e-9, max_iter=max(30 * A.n, 300),
+            y, _ = cg_solve(A, v, rel_tol=1e-9, max_iter=max(30 * A.shape[0], 300),
                             jacobi_precondition=False)
         except SolverError as err:
             if err.stats.relative_residual <= 1e-5 and np.all(np.isfinite(err.x)):
@@ -271,7 +216,7 @@ def estimate_condition(A: CsrMatrix, seed: int = 0) -> ConditionEstimate:
             lam_min = np.nan
             continue
         v_new = y / ny
-        lam_new = v_new @ A.matvec(v_new)
+        lam_new = v_new @ (A @ v_new)
         if lam_new <= 1e-9 * lam_max:
             # iterate collapsed into the (noisy) null space
             if not found_null(v_new):

@@ -103,8 +103,8 @@ def test_lagrange_interpolant_is_nodal():
         local = i_h.local_coeffs(eid)
         for loc, dof in enumerate(el.dofs):
             x, y = dof.point
-            slot = space.dof_map.slots[eid][loc]
-            expected = 0.0 if slot[0] == "bc" else SINE.u(x, y)
+            on_boundary = space.dof_map.dofs[eid, loc] < 0
+            expected = 0.0 if on_boundary else SINE.u(x, y)
             assert local[loc] == pytest.approx(expected, abs=1e-13)
 
 

@@ -17,9 +17,25 @@ from igfem.cli import (ConvergenceReport, ExperimentConfig, PROBLEMS, emit_repor
     (-6.14e-4, "-0.614E-03"),
     (9.999e-5, "0.100E-03"),   # mantissa rounding carries into the exponent
     (0.1, "0.100E+00"),
+    # non-finite values keep the 9-column width of a finite one
+    pytest.param(float("nan"), "      NaN", id="nan"),
+    pytest.param(float("inf"), "      Inf", id="inf"),
+    pytest.param(float("-inf"), "     -Inf", id="-inf"),
 ])
 def test_fixed_sci(value, expected):
     assert fixed_sci(value) == expected
+
+
+def test_text_report_with_unconverged_estimate():
+    cfg = ExperimentConfig(family="p2nc_interp", levels=(2,), condition=True)
+    cfg.validate()
+    row = {"level": 2, "h": 0.5, "free_dofs": 9, "interp_dofs": 16,
+           "l2_ih": 1e-3, "h1_ih": 1e-2, "l2_true": 1e-3, "h1_true": 1e-2,
+           "order_l2": None, "order_h1": None, "cg_iters": 5,
+           "cond_est": float("nan"), "lambda_max": 2.5, "lambda_min": float("nan"),
+           "cond_converged": False, "null_dim": 1}
+    text = emit_report(ConvergenceReport(config=cfg, rows=[row]), "text", None)
+    assert "level 2: 0.250E+01 /       NaN /       NaN" in text
 
 
 def test_fixed_sci_round_trip_magnitude():
@@ -133,19 +149,20 @@ def test_compare_does_not_change_primary_rows():
     assert base.rows == both.rows
 
 
-def test_parallel_matches_serial():
-    serial = run_experiment(ExperimentConfig(family="p3_interp", levels=(1, 2)))
-    threaded = run_experiment(ExperimentConfig(family="p3_interp", levels=(1, 2),
-                                               parallel=True))
-    assert serial.rows == threaded.rows
-
-
 def test_condition_flag_adds_estimates():
     rep = run_experiment(ExperimentConfig(family="p3_interp", levels=(2,),
                                           condition=True))
     row = rep.rows[0]
     assert "cond_est" in row and row["cond_est"] > 1.0
     assert row["lambda_max"] > row["lambda_min"] > 0.0
+    assert row["cond_converged"] is True
+    assert row["null_dim"] == 0
+    # the JSON report carries the estimate's status; CSV and text do not
+    data = json.loads(emit_report(rep, "json", None))
+    assert data["rows"][0]["cond_converged"] is True
+    assert data["rows"][0]["null_dim"] == 0
+    assert "cond_converged" not in emit_report(rep, "csv", None)
+    assert "null_dim" not in emit_report(rep, "text", None)
 
 
 def test_main_exit_codes(tmp_path):

@@ -1,10 +1,15 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from igfem.mesh import (Point2, build_crisscross_mesh, edge_gauss_points,
-                        mesh_to_text, triangle_gauss_points)
+import igfem
+from igfem.mesh import build_crisscross_mesh, edge_gauss_points, triangle_gauss_points
 
 
 @pytest.mark.parametrize("level,nv,nt,ne,nb", [
@@ -46,6 +51,16 @@ def test_topology_invariants(level):
         assert sum(1 for vid in tri if int(vid) in centers) == 1
 
 
+def test_edge_id_inverts_edge_table():
+    m = build_crisscross_mesh(3)
+    ids = np.arange(m.num_edges)
+    assert np.array_equal(m.edge_id(m.edges[:, 0], m.edges[:, 1]), ids)
+    assert np.array_equal(m.edge_id(m.edges[:, 1], m.edges[:, 0]), ids)
+    assert m.edge_id(*m.edges[7][::-1]) == 7
+    with pytest.raises(KeyError):
+        m.edge_id(0, m.num_vertices - 1)   # a corner and a far center
+
+
 def test_level_and_perturb_validation():
     with pytest.raises(ValueError):
         build_crisscross_mesh(0)
@@ -56,31 +71,31 @@ def test_level_and_perturb_validation():
 
 
 def test_gauss_points_unit_edge():
-    g1, g2 = edge_gauss_points(Point2(0, 0), Point2(1, 0))
-    assert g1.x == pytest.approx(0.2113248654, abs=1e-10)
-    assert g2.x == pytest.approx(0.7886751346, abs=1e-10)
-    assert g1.y == g2.y == 0.0
+    g1, g2 = edge_gauss_points((0, 0), (1, 0))
+    assert g1[0] == pytest.approx(0.2113248654, abs=1e-10)
+    assert g2[0] == pytest.approx(0.7886751346, abs=1e-10)
+    assert g1[1] == g2[1] == 0.0
 
 
 def test_gauss_points_scaled_edge():
-    g1, g2 = edge_gauss_points(Point2(0, 0), Point2(0, 2))
-    assert g1.y == pytest.approx(0.4226497308, abs=1e-10)
-    assert g2.y == pytest.approx(1.5773502692, abs=1e-10)
+    g1, g2 = edge_gauss_points((0, 0), (0, 2))
+    assert g1[1] == pytest.approx(0.4226497308, abs=1e-10)
+    assert g2[1] == pytest.approx(1.5773502692, abs=1e-10)
 
 
 def test_gauss_points_average_is_midpoint():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a, b = rng.normal(size=2), rng.normal(size=2)
-        g1, g2 = edge_gauss_points(Point2(*a), Point2(*b))
+        g1, g2 = edge_gauss_points(a, b)
         mid = 0.5 * (a + b)
-        assert 0.5 * (g1.x + g2.x) == pytest.approx(mid[0], abs=1e-14)
-        assert 0.5 * (g1.y + g2.y) == pytest.approx(mid[1], abs=1e-14)
+        assert 0.5 * (g1[0] + g2[0]) == pytest.approx(mid[0], abs=1e-14)
+        assert 0.5 * (g1[1] + g2[1]) == pytest.approx(mid[1], abs=1e-14)
 
 
 def test_gauss_points_degenerate_edge():
     with pytest.raises(ValueError):
-        edge_gauss_points(Point2(0.3, 0.4), Point2(0.3, 0.4))
+        edge_gauss_points((0.3, 0.4), (0.3, 0.4))
 
 
 def _conic_residual(pts):
@@ -118,6 +133,23 @@ def test_perturbation_bounds_and_fixed_vertices():
     assert np.array_equal(m.vertices, m2.vertices)
 
 
+def test_perturbed_mesh_same_in_every_process():
+    # str hashing is salted per process (PEP 456); the seed must not use it
+    script = ("import hashlib, igfem.mesh as m; v = m.build_crisscross_mesh(3, "
+              "perturb=0.2).vertices; print(hashlib.sha256(v.tobytes()).hexdigest())")
+    src = str(Path(igfem.__file__).resolve().parents[1])
+    digests = []
+    for hashseed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hashseed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
+    here = build_crisscross_mesh(3, perturb=0.2).vertices
+    assert digests[0] == hashlib.sha256(here.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("level,perturb", [(2, 0.05), (3, 0.15), (3, 0.29)])
 def test_perturbed_mesh_valid_or_rejected(level, perturb):
     try:
@@ -128,20 +160,6 @@ def test_perturbed_mesh_valid_or_rejected(level, perturb):
     signed = ((v[t[:, 1], 0] - v[t[:, 0], 0]) * (v[t[:, 2], 1] - v[t[:, 0], 1])
               - (v[t[:, 1], 1] - v[t[:, 0], 1]) * (v[t[:, 2], 0] - v[t[:, 0], 0]))
     assert np.all(signed > 0)
-
-
-def test_mesh_dump_format():
-    m = build_crisscross_mesh(1)
-    text = mesh_to_text(m)
-    lines = text.strip().split("\n")
-    assert lines[0] == "5 8 4"
-    vlines = [l for l in lines[1:] if l.startswith("v ")]
-    tlines = [l for l in lines[1:] if l.startswith("t ")]
-    assert len(vlines) == 5 and len(tlines) == 4
-    # vertex lines: v x y flag; triangle lines: t i j k macro
-    x, y, flag = vlines[0].split()[1:]
-    assert float(x) == 0.0 and float(y) == 0.0 and flag == "1"
-    assert all(len(l.split()) == 5 for l in tlines)
 
 
 def test_mesh_immutable():

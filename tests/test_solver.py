@@ -2,26 +2,26 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from igfem.solver import (CsrMatrix, SolverError, cg_solve, estimate_condition,
-                          matrix_to_coordinate_text)
+from igfem.solver import SolverError, cg_solve, estimate_condition
 
 
 def random_spd(rng, n, cond=100.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     w = np.geomspace(1.0, cond, n)
-    return CsrMatrix.from_dense(q @ np.diag(w) @ q.T), q, w
+    return sp.csr_array(q @ np.diag(w) @ q.T), q, w
 
 
 def test_diagonal_system():
-    A = CsrMatrix.from_dense(np.diag([2.0, 8.0]))
+    A = sp.csr_array(np.diag([2.0, 8.0]))
     x, stats = cg_solve(A, np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
     assert stats.iterations <= 2
 
 
 def test_identity_one_iteration():
-    A = CsrMatrix.from_dense(np.eye(9))
+    A = sp.csr_array(np.eye(9))
     F = np.arange(9.0)
     x, stats = cg_solve(A, F)
     assert np.allclose(x, F, atol=1e-13)
@@ -33,17 +33,17 @@ def test_against_dense_oracle():
     A, _, _ = random_spd(rng, 50, cond=500.0)
     F = rng.normal(size=50)
     x, stats = cg_solve(A, F, rel_tol=1e-13)
-    dense = np.linalg.solve(A.to_dense(), F)
+    dense = np.linalg.solve(A.toarray(), F)
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
     assert stats.relative_residual <= 1e-13
 
 
 def test_zero_rhs_and_empty_system():
-    A = CsrMatrix.from_dense(np.eye(3))
+    A = sp.csr_array(np.eye(3))
     x, stats = cg_solve(A, np.zeros(3))
     assert np.array_equal(x, np.zeros(3))
     assert stats.iterations == 0
-    empty = CsrMatrix.from_coo(0, [], [], [])
+    empty = sp.csr_array((0, 0))
     x, stats = cg_solve(empty, np.zeros(0))
     assert x.shape == (0,)
 
@@ -63,8 +63,8 @@ def test_energy_error_monotone():
     rng = np.random.default_rng(2)
     A, _, _ = random_spd(rng, 30, cond=1e4)
     F = rng.normal(size=30)
-    dense = np.linalg.solve(A.to_dense(), F)
-    Ad = A.to_dense()
+    dense = np.linalg.solve(A.toarray(), F)
+    Ad = A.toarray()
     history = []
     cg_solve(A, F, rel_tol=1e-12, callback=lambda xk: history.append(xk))
     energies = [float((dense - xk) @ Ad @ (dense - xk)) for xk in history]
@@ -79,7 +79,7 @@ def test_jacobi_changes_iterations_not_solution():
     d = np.geomspace(1.0, 1e4, n)
     B = rng.normal(size=(n, n)) * 0.05
     M = np.diag(d) + B @ B.T
-    A = CsrMatrix.from_dense(M)
+    A = sp.csr_array(M)
     F = rng.normal(size=n)
     tol = 1e-12
     x1, s1 = cg_solve(A, F, rel_tol=tol, jacobi_precondition=True)
@@ -94,21 +94,21 @@ def test_singular_consistent_system():
     n = 25
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     w = np.concatenate([[0.0], np.geomspace(1.0, 100.0, n - 1)])
-    A = CsrMatrix.from_dense(q @ np.diag(w) @ q.T)
+    A = sp.csr_array(q @ np.diag(w) @ q.T)
     x_true = q[:, 1:] @ rng.normal(size=n - 1)   # in range(A)
-    F = A.matvec(x_true)
+    F = A @ x_true
     x, stats = cg_solve(A, F, rel_tol=1e-12)
-    assert np.linalg.norm(A.matvec(x) - F) <= 1e-11 * np.linalg.norm(F)
+    assert np.linalg.norm(A @ x - F) <= 1e-11 * np.linalg.norm(F)
 
 
 def test_condition_diag():
-    A = CsrMatrix.from_dense(np.diag([2.0, 8.0]))
+    A = sp.csr_array(np.diag([2.0, 8.0]))
     est = estimate_condition(A)
     assert est.condition == pytest.approx(4.0, rel=0.01)
 
 
 def test_condition_identity():
-    A = CsrMatrix.from_dense(np.eye(12))
+    A = sp.csr_array(np.eye(12))
     est = estimate_condition(A)
     assert est.condition == pytest.approx(1.0, rel=0.01)
 
@@ -117,7 +117,7 @@ def test_condition_against_dense_oracle():
     rng = np.random.default_rng(5)
     A, _, w = random_spd(rng, 30, cond=300.0)
     est = estimate_condition(A)
-    ew = np.linalg.eigvalsh(A.to_dense())
+    ew = np.linalg.eigvalsh(A.toarray())
     assert est.lambda_max == pytest.approx(ew[-1], rel=0.02)
     assert est.lambda_min_nonzero == pytest.approx(ew[0], rel=0.02)
     assert est.condition == pytest.approx(ew[-1] / ew[0], rel=0.04)
@@ -128,7 +128,7 @@ def test_condition_skips_null_space():
     n = 20
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     w = np.concatenate([[0.0], np.geomspace(0.5, 50.0, n - 1)])
-    A = CsrMatrix.from_dense(q @ np.diag(w) @ q.T)
+    A = sp.csr_array(q @ np.diag(w) @ q.T)
     est = estimate_condition(A)
     # the zero eigenvalue must not be reported as lambda_min; it is either
     # never entered (range-space iteration) or explicitly deflated
@@ -137,20 +137,10 @@ def test_condition_skips_null_space():
 
 
 def test_csr_from_coo_sums_duplicates():
-    A = CsrMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
-    dense = A.to_dense()
+    # assemble_system builds A this way from COO entries with repeated
+    # (row, col) pairs, and relies on tocsr() to sum them and sort indices
+    A = sp.coo_array(([2.0, 3.0, 4.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)).tocsr()
+    dense = A.toarray()
     assert dense[0, 1] == 5.0 and dense[1, 0] == 4.0
     assert A.nnz == 2
-
-
-def test_coordinate_dump_round_trip():
-    rng = np.random.default_rng(7)
-    M = rng.normal(size=(4, 4))
-    M = M + M.T
-    A = CsrMatrix.from_dense(M)
-    text = matrix_to_coordinate_text(A)
-    rebuilt = np.zeros((4, 4))
-    for line in text.strip().split("\n"):
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] = float(v)
-    assert np.array_equal(rebuilt, M)
+    assert A.has_canonical_format
