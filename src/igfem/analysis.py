@@ -5,8 +5,8 @@ boundary-type nodes and takes the same f-derived interior coefficients as
 the discrete solution, so e_h has no interior component for the
 interpolated families.  The nonconforming interpolant fits the six edge
 Gauss-point values per triangle in the least-squares sense (the 6x6 system
-has rank 5) and therefore lives element-by-element rather than in the
-global coefficient vector.
+has rank 5, and one pseudo-inverse serves every triangle) and therefore
+lives element-by-element rather than in the global coefficient vector.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Space, interior_coefficients, norm_rule_degree
-from .elements import laplacian_operator
+from .assembly import Space, element_blocks, interior_coefficients, norm_rule_degree
+from .elements import block_gradients, block_values
 from .mesh import triangle_gauss_points
-from .poly import make_quad_rule
+from .poly import _collocation_inverse, bernstein_values, make_quad_rule
 
 __all__ = [
     "FeFunction",
@@ -29,24 +29,32 @@ __all__ = [
     "convergence_orders",
 ]
 
+# least-squares nodal fit to the six edge Gauss-point values: the points have
+# the same barycentric coordinates on every triangle, and the p2nc nodal
+# functions take plain Lagrange values there
+_NC_FIT = np.linalg.pinv(
+    bernstein_values(2, triangle_gauss_points(np.eye(3))) @ _collocation_inverse(2))
+
 
 @dataclass
 class FeFunction:
     """Finite element function: free + interpolated coefficients on a Space.
 
     `interp` holds the interpolated coefficients, one row per element.
-    `local_coeffs` may be overridden per element (one local vector per
-    element) for broken interpolants that do not share nodal values across
-    elements.
+    `override` may replace the local coefficients of every element (one row
+    per element) for broken interpolants that do not share nodal values
+    across elements.
     """
 
     space: Space
     free: np.ndarray
-    interp: np.ndarray       # (E, n_interp per element)
-    override: list | None = None
+    interp: np.ndarray               # (E, n_interp per element)
+    override: np.ndarray | None = None   # (E, nb)
 
     def __post_init__(self):
         self.interp = np.asarray(self.interp, dtype=float)
+        if self.override is not None:
+            self.override = np.asarray(self.override, dtype=float)
 
     @classmethod
     def zero(cls, space: Space) -> "FeFunction":
@@ -54,30 +62,23 @@ class FeFunction:
         return cls(space=space, free=np.zeros(dm.n_free),
                    interp=np.zeros((dm.n_elements, int(dm.interp_mask.sum()))))
 
-    def local_coeffs(self, eid: int) -> np.ndarray:
+    def coeff_table(self) -> np.ndarray:
+        """Local coefficients of every element, (E, nb)."""
         if self.override is not None:
-            return self.override[eid]
+            return self.override
         dm = self.space.dof_map
-        dofs = dm.dofs[eid]
-        free = dofs >= 0
-        out = np.zeros(len(dofs))
-        out[free] = self.free[dofs[free]]
-        out[dm.interp_mask] = self.interp[eid]
+        free = dm.dofs >= 0
+        out = np.zeros(dm.dofs.shape)
+        out[free] = self.free[dm.dofs[free]]
+        out[:, dm.interp_mask] = self.interp
         return out
 
+    def local_coeffs(self, eid: int) -> np.ndarray:
+        return self.coeff_table()[eid]
+
     def scaled(self, s: float) -> "FeFunction":
-        override = None if self.override is None else [s * v for v in self.override]
+        override = None if self.override is None else s * self.override
         return FeFunction(self.space, s * self.free, s * self.interp, override)
-
-
-def _nc_local_interpolant(element, geom, u) -> np.ndarray:
-    """Least-squares nodal fit of the six edge Gauss-point values of u."""
-    gp = triangle_gauss_points(geom.vertices)
-    bary = np.array([geom.to_barycentric(p) for p in gp])
-    M = element.basis_values(bary)[:6].T          # (6 points, 6 nodal funcs)
-    rhs = np.asarray(u(gp[:, 0], gp[:, 1]), dtype=float)
-    a, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    return a
 
 
 def interpolate_exact(u, f, space: Space) -> FeFunction:
@@ -88,48 +89,41 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
     full nodal interpolant.
     """
     dm = space.dof_map
-    free = np.zeros(dm.n_free)
     if space.family in ("p2nc_interp", "p2nc_std"):
-        interp, override = [], []
-        for eid, element in enumerate(space.elements):
-            geom = element.geoms[0]
-            a = _nc_local_interpolant(element, geom, u)
-            x0, y0 = geom.barycenter
-            if space.family == "p2nc_interp":
-                override.append(np.concatenate([a, [f(x0, y0)]]))
-                interp.append(np.array([f(x0, y0)]))
-            else:
-                # same function in the plain-nodal basis: the bubble picks up
-                # the nodal functions' Laplacian content
-                lap_nodal = np.array([
-                    _constant_laplacian(element, i) for i in range(6)])
-                bubble = float(a @ lap_nodal) + f(x0, y0)
-                override.append(np.concatenate([a, [bubble]]))
-                interp.append(np.zeros(0))
-        return FeFunction(space=space, free=free, interp=interp, override=override)
+        geoms = [e.geoms[0] for e in space.elements]
+        verts = np.array([g.vertices for g in geoms])
+        gp = triangle_gauss_points(verts)                            # (E, 6, 2)
+        a = u(gp[..., 0], gp[..., 1]) @ _NC_FIT.T
+        bubble = f(*verts.mean(axis=1).T)
+        interp = bubble[:, None]
+        if space.family == "p2nc_std":
+            # same function in the plain-nodal basis: the bubble picks up the
+            # nodal functions' Laplacian content; the Bernstein quadratic of
+            # e_i + e_j has Laplacian (2 if i == j else 4) grad l_i . grad l_j
+            g = np.array([geom.grad_lambda for geom in geoms])
+            i, j = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]).T
+            lap = np.where(i == j, 2.0, 4.0) * np.sum(g[:, i] * g[:, j], axis=2)
+            bubble = np.sum(a * (lap @ _collocation_inverse(2)), axis=1) + bubble
+            interp = interp[:, :0]
+        return FeFunction(space, np.zeros(dm.n_free), interp, np.column_stack([a, bubble]))
 
-    for eid, element in enumerate(space.elements):
-        for loc in np.flatnonzero(dm.dofs[eid] >= 0):
-            if element.dofs[loc].kind == "node":
-                x, y = element.dofs[loc].point
-                free[dm.dofs[eid, loc]] = u(x, y)
-    interp = [interior_coefficients(element, f) for element in space.elements]
-    return FeFunction(space=space, free=free, interp=interp)
-
-
-def _constant_laplacian(element, i: int) -> float:
-    geom = element.geoms[0]
-    lap = laplacian_operator(element.degree, geom) @ element.basis[i, 0]
-    return float(lap[0])
+    # u once per free node; a node shared by several elements takes its
+    # point from the last of them, whose coordinates may differ in the last bit
+    nodes = np.flatnonzero(~dm.interp_mask)
+    pts = np.array([[e.dofs[m].point for m in nodes] for e in space.elements])
+    g = dm.dofs[:, nodes].ravel()
+    keys, first_rev = np.unique(g[::-1], return_index=True)
+    xy = pts.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
+    return FeFunction(space=space, free=u(xy[:, 0], xy[:, 1]),
+                      interp=interior_coefficients(space, f))
 
 
-def _as_evaluator(obj):
-    """Normalize an error_norms argument to (kind, payload)."""
-    if isinstance(obj, FeFunction):
-        return "fe", obj
-    if hasattr(obj, "u") and hasattr(obj, "grad"):
-        return "analytic", obj
-    raise TypeError(f"expected FeFunction or an object with .u/.grad, got {type(obj)}")
+def _block_eval(side, coeffs, vals, grads, xy):
+    """Values (B, P) and gradients (B, P, 2) of an error_norms argument."""
+    if coeffs is None:
+        return (np.asarray(side.u(xy[..., 0], xy[..., 1]), dtype=float),
+                np.asarray(side.grad(xy[..., 0], xy[..., 1]), dtype=float))
+    return (coeffs[:, None, :] @ vals)[:, 0], np.einsum("bn,bnpd->bpd", coeffs, grads)
 
 
 def error_norms(a, b, quad_degree: int | None = None) -> tuple[float, float]:
@@ -139,9 +133,7 @@ def error_norms(a, b, quad_degree: int | None = None) -> tuple[float, float]:
     with fields u(x, y) and grad(x, y); at least one side must be a
     FeFunction, and two FeFunctions must share their Space.
     """
-    kind_a, pa = _as_evaluator(a)
-    kind_b, pb = _as_evaluator(b)
-    fes = [p for k, p in ((kind_a, pa), (kind_b, pb)) if k == "fe"]
+    fes = [x for x in (a, b) if isinstance(x, FeFunction)]
     if not fes:
         raise ValueError("at least one argument must be a FeFunction")
     space = fes[0].space
@@ -150,30 +142,21 @@ def error_norms(a, b, quad_degree: int | None = None) -> tuple[float, float]:
 
     rule = make_quad_rule(quad_degree if quad_degree is not None
                           else norm_rule_degree(space.k))
-    l2_sq = 0.0
-    h1_sq = 0.0
-    for eid, element in enumerate(space.elements):
-        ca = pa.local_coeffs(eid) if kind_a == "fe" else None
-        cb = pb.local_coeffs(eid) if kind_b == "fe" else None
-        for part, geom in enumerate(element.geoms):
-            vals_tab = element.basis_values(rule.points, part)
-            grads_tab = element.basis_gradients(rule.points, part)
-            xy = rule.points @ geom.vertices
-            if kind_a == "fe":
-                va = ca @ vals_tab
-                ga = np.einsum("n,npd->pd", ca, grads_tab)
-            else:
-                va = np.asarray(pa.u(xy[:, 0], xy[:, 1]), dtype=float)
-                ga = np.asarray(pa.grad(xy[:, 0], xy[:, 1]), dtype=float)
-            if kind_b == "fe":
-                vb = cb @ vals_tab
-                gb = np.einsum("n,npd->pd", cb, grads_tab)
-            else:
-                vb = np.asarray(pb.u(xy[:, 0], xy[:, 1]), dtype=float)
-                gb = np.asarray(pb.grad(xy[:, 0], xy[:, 1]), dtype=float)
-            w = rule.weights * geom.area
-            l2_sq += w @ (va - vb) ** 2
-            h1_sq += w @ np.sum((ga - gb) ** 2, axis=1)
+    tables = [x.coeff_table() if isinstance(x, FeFunction) else None for x in (a, b)]
+    sq = np.zeros((2, space.n_elements, len(space.elements[0].geoms)))   # L2, H1 terms
+    for s, basis, verts, grad_lambda, area in element_blocks(space):
+        for part in range(basis.shape[2]):
+            vals = block_values(basis[:, :, part], space.k, rule.points)
+            grads = block_gradients(basis[:, :, part], space.k, grad_lambda[:, part],
+                                    rule.points)
+            xy = rule.points @ verts[:, part]
+            (va, ga), (vb, gb) = [_block_eval(x, None if t is None else t[s], vals, grads, xy)
+                                  for x, t in zip((a, b), tables)]
+            w = (rule.weights * area[:, part, None])[:, None, :]     # (B, 1, P)
+            sq[0, s, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
+            sq[1, s, part] = (w @ np.sum((ga - gb) ** 2, axis=2)[:, :, None])[:, 0, 0]
+    # added in element order, as a loop over the elements adds them
+    l2_sq, h1_sq = np.cumsum(sq.reshape(2, -1), axis=1)[:, -1]
     return math.sqrt(abs(l2_sq)), math.sqrt(abs(h1_sq))
 
 

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import Mesh
-from .poly import TriGeom, bpoly_eval, make_quad_rule, MAX_QUAD_DEGREE
+from .poly import TriGeom, bernstein_values, bpoly_eval, make_quad_rule, MAX_QUAD_DEGREE
 
 __all__ = [
     "FAMILIES",
@@ -224,27 +224,48 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     return Space(mesh=mesh, family=family, k=k, elements=elems, dof_map=dof_map)
 
 
-def interior_coefficients(element: el.LocalElement, f) -> np.ndarray:
-    """Coefficients of the interpolated interior basis functions.
+# elements per block of the element passes; larger blocks raise peak memory
+BLOCK = 8
+
+
+def element_blocks(space: Space):
+    """Blocks of consecutive elements as (slice, basis (B, nb, parts, nc),
+    vertices (B, parts, 3, 2), grad_lambda (B, parts, 3, 2), area (B, parts))."""
+    for start in range(0, space.n_elements, BLOCK):
+        elems = space.elements[start:start + BLOCK]
+        geoms = [e.geoms for e in elems]
+        yield (slice(start, start + len(elems)),
+               np.array([e.basis for e in elems]),
+               np.array([[g.vertices for g in gs] for gs in geoms]),
+               np.array([[g.grad_lambda for g in gs] for gs in geoms]),
+               np.array([[g.area for g in gs] for gs in geoms]))
+
+
+def interior_coefficients(space: Space, f) -> np.ndarray:
+    """Coefficients of the interpolated interior basis functions, (E, n_int).
 
     Pointwise families take f at the Laplacian point (the -1 normalization
     makes the coefficient +f); the moment element takes c_j = -int p_j b f,
     the value the moment functional assumes on the exact solution.
     """
-    if element.family == "pk_interp":
-        k = element.degree
-        geom = element.geoms[0]
-        rule = make_quad_rule(load_rule_degree(k))
-        xy = rule.points @ geom.vertices
-        fv = f(xy[:, 0], xy[:, 1])
-        w = rule.weights * geom.area
-        bv = bpoly_eval(element.bubble, rule.points)
-        return np.array([-(w * bv * bpoly_eval(pj, rule.points)) @ fv
-                         for pj in element.moment_basis])
-    if element.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
-        x, y = element.dofs[-1].point
-        return np.array([f(x, y)], dtype=float)
-    return np.zeros(0)
+    if space.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
+        pts = np.array([e.dofs[-1].point for e in space.elements])
+        return f(pts[:, 0], pts[:, 1])[:, None]
+    if space.family != "pk_interp":
+        return np.zeros((space.n_elements, 0))
+    rule = make_quad_rule(load_rule_degree(space.k))
+    bv = bpoly_eval(space.elements[0].bubble, rule.points)   # the same on every element
+    low = bernstein_values(space.k - 3, rule.points)
+    c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
+    for s, _, verts, _, area in element_blocks(space):
+        pj = np.array([[p.coeffs for p in e.moment_basis] for e in space.elements[s]])
+        xy = rule.points @ verts[:, 0]
+        fv = f(xy[..., 0], xy[..., 1])
+        w = rule.weights * area
+        for j in range(pj.shape[1]):
+            pv = (low @ pj[:, j, :, None])[..., 0]            # one gemv per p_j
+            c[s, j] = (-(w * bv * pv)[:, None, :] @ fv[:, :, None])[:, 0, 0]
+    return c
 
 
 @dataclass
@@ -255,26 +276,6 @@ class SparseSystem:
     F: np.ndarray
     interp_coeffs: np.ndarray    # (E, n_interp per element); zero columns for baselines
     space: Space
-
-
-def _element_contribution(space: Space, f, eid: int):
-    """(local stiffness, local load, interior coefficients) for one element."""
-    element = space.elements[eid]
-    k = space.k
-    stiff_rule = make_quad_rule(stiffness_rule_degree(k))
-    load_rule = make_quad_rule(load_rule_degree(k))
-    nb = element.n_basis
-    S = np.zeros((nb, nb))
-    L = np.zeros(nb)
-    for part, geom in enumerate(element.geoms):
-        grads = element.basis_gradients(stiff_rule.points, part)      # (nb, P, 2)
-        S += geom.area * np.einsum("npd,mpd,p->nm", grads, grads, stiff_rule.weights)
-        vals = element.basis_values(load_rule.points, part)           # (nb, P)
-        xy = load_rule.points @ geom.vertices
-        fv = f(xy[:, 0], xy[:, 1])
-        L += geom.area * vals @ (load_rule.weights * fv)
-    c = interior_coefficients(element, f)
-    return S, L, c
 
 
 def assemble_system(mesh_or_space, family: str | None = None, k: int | None = None,
@@ -292,10 +293,23 @@ def assemble_system(mesh_or_space, family: str | None = None, k: int | None = No
     if f is None:
         raise ValueError("assemble_system needs a right-hand side f(x, y)")
     dm = space.dof_map
-    contribs = [_element_contribution(space, f, e) for e in range(space.n_elements)]
-    S = np.array([s for s, _, _ in contribs])            # (E, nb, nb)
-    L = np.array([l for _, l, _ in contribs])            # (E, nb)
-    c = np.array([ci for _, _, ci in contribs])          # (E, n_interp)
+    k = space.k
+    stiff_rule = make_quad_rule(stiffness_rule_degree(k))
+    load_rule = make_quad_rule(load_rule_degree(k))
+    S = np.zeros(dm.dofs.shape + dm.dofs.shape[1:])       # (E, nb, nb)
+    L = np.zeros(dm.dofs.shape)                           # (E, nb)
+    for s, basis, verts, grad_lambda, area in element_blocks(space):
+        for part in range(basis.shape[2]):
+            grads = el.block_gradients(basis[:, :, part], k, grad_lambda[:, part],
+                                       stiff_rule.points)           # (B, nb, P, 2)
+            S[s] += area[:, part, None, None] * np.einsum(
+                "bnpd,bmpd,p->bnm", grads, grads, stiff_rule.weights)
+            vals = el.block_values(basis[:, :, part], k, load_rule.points)  # (B, nb, P)
+            xy = load_rule.points @ verts[:, part]
+            fv = f(xy[..., 0], xy[..., 1])
+            L[s] += ((area[:, part, None, None] * vals)
+                     @ (load_rule.weights * fv)[:, :, None])[..., 0]
+    c = interior_coefficients(space, f)                   # (E, n_interp)
 
     # The order of the COO entries (element, local row, local column) and of
     # the additions into F fixes the rounding of A and F, and CG at the

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -175,16 +176,15 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
         space = build_space(mesh, family, k)
         system = assemble_system(space, f=problem.f)
         dm = space.dof_map
+        x, iters, residual = np.zeros(0), 0, 0.0
         try:
             if dm.n_free:
                 x, stats = cg_solve(system.A, system.F, rel_tol=tol)
-                iters = stats.iterations
-            else:
-                x = np.zeros(0)
-                iters = 0
+                iters, residual = stats.iterations, stats.relative_residual
         except SolverError as err:
             failures.append((level, f"{family} level {level}: {err}"))
-            print(f"solver failure: {family} level {level}: {err}", file=sys.stderr)
+            logging.getLogger(__name__).warning(
+                "solver failure: %s level %s: %s", family, level, err)
             continue
         u_h = FeFunction(space=space, free=x, interp=system.interp_coeffs)
         i_h = interpolate_exact(problem.u, problem.f, space)
@@ -193,7 +193,7 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
         record = ErrorRecord(level=level, h=mesh.h, free_dofs=dm.n_free,
                              interp_dofs=dm.n_interp, l2_ih=l2_ih, h1_ih=h1_ih,
                              l2_true=l2_true, h1_true=h1_true)
-        row = {**vars(record), "cg_iters": iters}
+        row = {**vars(record), "cg_iters": iters, "cg_residual": residual}
         if condition and dm.n_free:
             est = estimate_condition(system.A)
             row["cond_est"] = est.condition

@@ -41,6 +41,8 @@ from .poly import (
 __all__ = [
     "DofDescriptor",
     "LocalElement",
+    "block_values",
+    "block_gradients",
     "build_p2c_macro_basis",
     "build_fs_bubble",
     "build_p2nc_element",
@@ -94,28 +96,31 @@ class LocalElement:
     def n_basis(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def n_interior(self) -> int:
-        return sum(1 for d in self.dofs if d.kind != "node")
-
     def function(self, i: int, part: int = 0) -> BPoly:
         return BPoly(self.degree, self.basis[i, part].copy(), self.geoms[part])
 
     def basis_values(self, bary, part: int = 0) -> np.ndarray:
         """Values of all basis functions at barycentric points: (nbasis, P)."""
-        return self.basis[:, part, :] @ bernstein_values(self.degree, bary).T
+        return block_values(self.basis[None, :, part], self.degree, bary)[0]
 
     def basis_gradients(self, bary, part: int = 0) -> np.ndarray:
         """Gradients of all basis functions at barycentric points: (nbasis, P, 2)."""
-        k = self.degree
-        geom = self.geoms[part]
-        coeffs = self.basis[:, part, :]
-        maps = _reduction_maps(k)
-        gcoef = np.zeros((self.n_basis, num_coeffs(k - 1), 2))
-        for i in range(3):
-            gcoef += coeffs[:, maps[i], None] * geom.grad_lambda[i]
-        vals = bernstein_values(k - 1, bary)  # (P, nc)
-        return k * np.einsum("pc,ncd->npd", vals, gcoef)
+        return block_gradients(self.basis[None, :, part], self.degree,
+                               self.geoms[part].grad_lambda[None], bary)[0]
+
+
+def block_values(coeffs, k: int, bary) -> np.ndarray:
+    """Values of a (B, nb, nc) block of degree-k bases at barycentric points: (B, nb, P)."""
+    return coeffs @ bernstein_values(k, bary).T
+
+
+def block_gradients(coeffs, k: int, grad_lambda, bary) -> np.ndarray:
+    """Gradients (B, nb, P, 2) of a (B, nb, nc) block of degree-k bases; grad_lambda (B, 3, 2)."""
+    maps = _reduction_maps(k)
+    gcoef = np.zeros(coeffs.shape[:2] + (num_coeffs(k - 1), 2))
+    for i in range(3):
+        gcoef += coeffs[:, :, maps[i], None] * grad_lambda[:, None, None, i]
+    return k * np.einsum("pc,bncd->bnpd", bernstein_values(k - 1, bary), gcoef)
 
 
 def laplacian_operator(k: int, geom: TriGeom) -> np.ndarray:
@@ -263,15 +268,10 @@ def gram_schmidt_pj(geom: TriGeom, k: int) -> list[BPoly]:
     b_vals = bpoly_eval(bub, qb)
     b_grads = bpoly_grad(bub, qb)
     vals_low = bernstein_values(deg, qb)
-    vals_low1 = bernstein_values(deg - 1, qb)
-    maps = _reduction_maps(deg)
 
     def gram_of(rows):
         p_vals = vals_low @ rows.T                          # (P, d)
-        gcoef = np.zeros((len(rows), num_coeffs(deg - 1), 2))
-        for i in range(3):
-            gcoef += rows[:, maps[i], None] * geom.grad_lambda[i]
-        p_grads = deg * np.einsum("pc,ncd->npd", vals_low1, gcoef)
+        p_grads = block_gradients(rows[None], deg, geom.grad_lambda[None], qb)[0]
         # grad(b p) = p grad b + b grad p, evaluated pointwise
         gbp = p_vals.T[:, :, None] * b_grads[None, :, :] \
             + b_vals[None, :, None] * p_grads

@@ -197,9 +197,9 @@ def edge_gauss_points(p0, p1) -> tuple[tuple[float, float], tuple[float, float]]
 
 
 def triangle_gauss_points(verts: np.ndarray) -> np.ndarray:
-    """The six edge Gauss points of a triangle, (6, 2), edges in order (01, 12, 20)."""
+    """The six edge Gauss points, edges in order (01, 12, 20), of a triangle
+    or a stack of them: verts (..., 3, d) -> (..., 6, d)."""
     verts = np.asarray(verts, dtype=float)
-    pts = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        pts.extend(edge_gauss_points(verts[i], verts[j]))
-    return np.array(pts)
+    start = verts[..., [0, 0, 1, 1, 2, 2], :]
+    t = np.array([_GAUSS_T1, _GAUSS_T2] * 3)[:, None]
+    return start + t * (verts[..., [1, 1, 2, 2, 0, 0], :] - start)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import math
+
 from igfem.analysis import (FeFunction, convergence_orders, error_norms,
                             interpolate_exact)
-from igfem.assembly import assemble_system, build_space
+from igfem.assembly import assemble_system, build_space, interior_coefficients, \
+    norm_rule_degree
 from igfem.cli import PROBLEMS
-from igfem.mesh import build_crisscross_mesh
-from igfem.poly import domain_points
+from igfem.elements import laplacian_operator
+from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
+from igfem.poly import domain_points, make_quad_rule
 from igfem.solver import cg_solve
 
 SINE = PROBLEMS["sine"]
@@ -189,3 +193,91 @@ def test_convergence_orders_simple():
     assert convergence_orders([1.0, 0.0]) == [None, None]
     assert convergence_orders([1.0]) == [None]
     assert convergence_orders([]) == []
+
+
+# --- element-loop references ------------------------------------------------
+
+def _reference_error_norms(a, b):
+    """error_norms as a loop over the elements and their parts."""
+    space = a.space if isinstance(a, FeFunction) else b.space
+    rule = make_quad_rule(norm_rule_degree(space.k))
+    l2_sq = 0.0
+    h1_sq = 0.0
+    for eid, element in enumerate(space.elements):
+        for part, geom in enumerate(element.geoms):
+            vals_tab = element.basis_values(rule.points, part)
+            grads_tab = element.basis_gradients(rule.points, part)
+            xy = rule.points @ geom.vertices
+            side = []
+            for obj in (a, b):
+                if isinstance(obj, FeFunction):
+                    c = obj.local_coeffs(eid)
+                    side.append((c @ vals_tab, np.einsum("n,npd->pd", c, grads_tab)))
+                else:
+                    side.append((np.asarray(obj.u(xy[:, 0], xy[:, 1]), dtype=float),
+                                 np.asarray(obj.grad(xy[:, 0], xy[:, 1]), dtype=float)))
+            (va, ga), (vb, gb) = side
+            w = rule.weights * geom.area
+            l2_sq += w @ (va - vb) ** 2
+            h1_sq += w @ np.sum((ga - gb) ** 2, axis=1)
+    return math.sqrt(abs(l2_sq)), math.sqrt(abs(h1_sq))
+
+
+def _reference_interpolant(u, f, space):
+    """The conforming interpolant as a loop over elements and node slots:
+    a node shared by several elements takes u at the last one's point."""
+    dm = space.dof_map
+    free = np.zeros(dm.n_free)
+    for eid, element in enumerate(space.elements):
+        for loc in np.flatnonzero(dm.dofs[eid] >= 0):
+            if element.dofs[loc].kind == "node":
+                x, y = element.dofs[loc].point
+                free[dm.dofs[eid, loc]] = u(x, y)
+    return FeFunction(space=space, free=free, interp=interior_coefficients(space, f))
+
+
+def _reference_nc_interpolant(u, f, space):
+    """The p2nc interpolant by a least-squares fit on every triangle."""
+    override = []
+    for element in space.elements:
+        geom = element.geoms[0]
+        gp = triangle_gauss_points(geom.vertices)
+        bary = np.array([geom.to_barycentric(p) for p in gp])
+        M = element.basis_values(bary)[:6].T          # (6 points, 6 nodal funcs)
+        a, *_ = np.linalg.lstsq(M, u(gp[:, 0], gp[:, 1]), rcond=None)
+        bubble = f(*geom.barycenter)
+        if space.family == "p2nc_std":
+            lap_op = laplacian_operator(2, geom)
+            bubble += sum(a[i] * (lap_op @ element.basis[i, 0])[0] for i in range(6))
+        override.append(np.concatenate([a, [bubble]]))
+    return FeFunction(space, np.zeros(space.dof_map.n_free),
+                      np.zeros((space.n_elements, 0)), override)
+
+
+@pytest.mark.parametrize("family,k,level,perturb", [
+    ("p2c_interp", 2, 2, 0.0), ("p3_interp", 3, 2, 0.0), ("pk_interp", 4, 2, 0.0),
+    ("pk_interp", 5, 2, 0.0), ("pk_lagrange", 2, 2, 0.0), ("pk_lagrange", 3, 2, 0.0),
+    ("pk_interp", 8, 1, 0.0), ("pk_lagrange", 8, 1, 0.0),
+    ("p3_interp", 3, 3, 0.2), ("pk_interp", 5, 3, 0.2)])
+def test_interpolant_and_norms_bit_identical_to_element_loop(family, k, level, perturb):
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
+    u_h = solve(space, SINE)
+    i_h = interpolate_exact(SINE.u, SINE.f, space)
+    ref = _reference_interpolant(SINE.u, SINE.f, space)
+    assert np.array_equal(i_h.free, ref.free)
+    assert np.array_equal(i_h.interp, ref.interp)
+    assert error_norms(i_h, u_h) == _reference_error_norms(ref, u_h)
+    assert error_norms(SINE, u_h) == _reference_error_norms(SINE, u_h)
+
+
+@pytest.mark.parametrize("family", ["p2nc_interp", "p2nc_std"])
+@pytest.mark.parametrize("level,perturb", [(2, 0.0), (4, 0.0), (3, 0.2)])
+def test_nc_interpolant_matches_least_squares_loop(family, level, perturb):
+    # one pseudo-inverse for every triangle instead of a fit per triangle:
+    # the rounding changes, so e_h agrees to a tolerance, not bit for bit
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family)
+    u_h = solve(space, SINE)
+    e_h = error_norms(interpolate_exact(SINE.u, SINE.f, space), u_h)
+    e_ref = error_norms(_reference_nc_interpolant(SINE.u, SINE.f, space), u_h)
+    assert e_h == pytest.approx(e_ref, rel=1e-9, abs=0.0)
+    assert error_norms(SINE, u_h) == _reference_error_norms(SINE, u_h)

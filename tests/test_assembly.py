@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igfem.assembly import (_element_contribution, assemble_system, build_dof_map,
-                            build_space, interior_coefficients, resolve_degree)
+from igfem.assembly import (assemble_system, build_dof_map, build_space,
+                            interior_coefficients, load_rule_degree, resolve_degree,
+                            stiffness_rule_degree)
 from igfem.elements import BARYCENTER, laplacian_operator
 from igfem.mesh import build_crisscross_mesh
 from igfem.poly import (BPoly, bernstein_values, bpoly_eval, bpoly_laplacian,
@@ -90,16 +91,16 @@ def test_interior_coefficients_zero_f():
     mesh = build_crisscross_mesh(1)
     for family, k in (("p2nc_interp", 2), ("p3_interp", 3), ("pk_interp", 4)):
         space = build_space(mesh, family, k)
-        for el in space.elements:
-            c = interior_coefficients(el, lambda x, y: 0.0 * x)
+        for eid, el in enumerate(space.elements):
+            c = interior_coefficients(space, lambda x, y: 0.0 * x)[eid]
             assert np.allclose(c, 0.0)
 
 
 def test_interior_coefficients_p3_constant_f():
     mesh = build_crisscross_mesh(2)
     space = build_space(mesh, "p3_interp")
-    for el in space.elements:
-        c = interior_coefficients(el, lambda x, y: 1.0 + 0.0 * x)
+    for eid, el in enumerate(space.elements):
+        c = interior_coefficients(space, lambda x, y: 1.0 + 0.0 * x)[eid]
         assert c.shape == (1,)
         assert c[0] == pytest.approx(1.0)
 
@@ -112,7 +113,7 @@ def test_interior_coefficients_match_moment_functionals_of_u():
     rule = make_quad_rule(12)
     for eid, el in enumerate(space.elements):
         geom = el.geoms[0]
-        c = interior_coefficients(el, PATCH.f)
+        c = interior_coefficients(space, PATCH.f)[eid]
         xy = rule.points @ geom.vertices
         w = rule.weights * geom.area
         bv = bpoly_eval(el.bubble, rule.points)
@@ -251,15 +252,55 @@ def test_assemble_needs_f():
         assemble_system(build_crisscross_mesh(1), "p3_interp", 3, None)
 
 
+def _element_interior_coefficients(element, f) -> np.ndarray:
+    """Interior coefficients of one element, as the element loop computed them."""
+    if element.family == "pk_interp":
+        k = element.degree
+        geom = element.geoms[0]
+        rule = make_quad_rule(load_rule_degree(k))
+        xy = rule.points @ geom.vertices
+        fv = f(xy[:, 0], xy[:, 1])
+        w = rule.weights * geom.area
+        bv = bpoly_eval(element.bubble, rule.points)
+        return np.array([-(w * bv * bpoly_eval(pj, rule.points)) @ fv
+                         for pj in element.moment_basis])
+    if element.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
+        x, y = element.dofs[-1].point
+        return np.array([f(x, y)], dtype=float)
+    return np.zeros(0)
+
+
+def _element_contribution(space, f, eid: int):
+    """(local stiffness, local load, interior coefficients) for one element."""
+    element = space.elements[eid]
+    k = space.k
+    stiff_rule = make_quad_rule(stiffness_rule_degree(k))
+    load_rule = make_quad_rule(load_rule_degree(k))
+    nb = element.n_basis
+    S = np.zeros((nb, nb))
+    L = np.zeros(nb)
+    for part, geom in enumerate(element.geoms):
+        grads = element.basis_gradients(stiff_rule.points, part)      # (nb, P, 2)
+        S += geom.area * np.einsum("npd,mpd,p->nm", grads, grads, stiff_rule.weights)
+        vals = element.basis_values(load_rule.points, part)           # (nb, P)
+        xy = load_rule.points @ geom.vertices
+        fv = f(xy[:, 0], xy[:, 1])
+        L += geom.area * vals @ (load_rule.weights * fv)
+    c = _element_interior_coefficients(element, f)
+    return S, L, c
+
+
 def _reference_assembly(space, f):
     """The element-by-element scatter: COO entries appended per element,
     local row, local column, and F updated in the same order."""
     dm = space.dof_map
     rows, cols, vals = [], [], []
     F = np.zeros(dm.n_free)
+    coeffs = []
     interp_slots = np.flatnonzero(dm.interp_mask)
     for eid in range(space.n_elements):
         S, L, c = _element_contribution(space, f, eid)
+        coeffs.append(c)
         free = [(loc, g) for loc, g in enumerate(dm.dofs[eid]) if g >= 0]
         for loc_m, g_m in free:
             F[g_m] += L[loc_m]
@@ -272,21 +313,27 @@ def _reference_assembly(space, f):
     A = sp.coo_matrix((vals, (rows, cols)), shape=(dm.n_free, dm.n_free)).tocsr()
     A.sum_duplicates()
     A.sort_indices()
-    return A, F, len(set(zip(rows, cols)))
+    return A, F, np.array(coeffs), len(set(zip(rows, cols)))
 
 
-@pytest.mark.parametrize("family,k,level", [
-    ("p2c_interp", 2, 2), ("p2nc_interp", 2, 2), ("p2nc_std", 2, 2),
-    ("p3_interp", 3, 2), ("pk_interp", 4, 2), ("pk_lagrange", 2, 2),
-    ("pk_interp", 8, 1), ("pk_lagrange", 8, 1)])
-def test_assembly_bit_identical_to_element_loop(family, k, level):
+_BIT_CASES = [
+    ("p2c_interp", 2, 2, 0.0), ("p2nc_interp", 2, 2, 0.0), ("p2nc_std", 2, 2, 0.0),
+    ("p3_interp", 3, 2, 0.0), ("pk_interp", 4, 2, 0.0), ("pk_lagrange", 2, 2, 0.0),
+    ("pk_interp", 8, 1, 0.0), ("pk_lagrange", 8, 1, 0.0),
+    ("p3_interp", 3, 3, 0.2), ("pk_interp", 5, 3, 0.2)]
+
+
+@pytest.mark.parametrize("family,k,level,perturb", _BIT_CASES, ids=[
+    f"{fam}-{k}-{level}" + (f"-perturb{p}" if p else "") for fam, k, level, p in _BIT_CASES])
+def test_assembly_bit_identical_to_element_loop(family, k, level, perturb):
     # CG at the default tolerance works at the rounding floor, so any change
     # to the last bits of A or F moves the iteration counts
-    space = build_space(build_crisscross_mesh(level), family, k)
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
     system = assemble_system(space, f=SINE.f)
-    A, F, distinct = _reference_assembly(space, SINE.f)
+    A, F, c, distinct = _reference_assembly(space, SINE.f)
     assert np.array_equal(system.A.indptr, A.indptr)
     assert np.array_equal(system.A.indices, A.indices)
     assert np.array_equal(system.A.data, A.data)
     assert np.array_equal(system.F, F)
+    assert np.array_equal(system.interp_coeffs, c)
     assert system.A.nnz == distinct and system.A.has_canonical_format

@@ -1,10 +1,13 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
+import igfem.cli
 from igfem.cli import (ConvergenceReport, ExperimentConfig, PROBLEMS, emit_report,
                        main, fixed_sci, run_experiment, _parse_levels)
+from igfem.solver import SolveStats, SolverError
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -163,6 +166,13 @@ def test_condition_flag_adds_estimates():
     assert data["rows"][0]["null_dim"] == 0
     assert "cond_converged" not in emit_report(rep, "csv", None)
     assert "null_dim" not in emit_report(rep, "text", None)
+    # so does the CG residual, which is 0.0 where there is nothing to solve
+    assert 0.0 < row["cg_residual"] <= 1e-13
+    assert data["rows"][0]["cg_residual"] == row["cg_residual"]
+    for fmt in ("csv", "text"):
+        assert "cg_residual" not in emit_report(rep, fmt, None)
+    empty = run_experiment(ExperimentConfig(family="p2c_interp", levels=(1,)))
+    assert empty.rows[0]["free_dofs"] == 0 and empty.rows[0]["cg_residual"] == 0.0
 
 
 def test_main_exit_codes(tmp_path):
@@ -178,3 +188,21 @@ def test_main_exit_codes(tmp_path):
     assert main(["--family", "p3_interp", "--levels", "7..5"]) == 2
     assert main(["--family", "p3_interp", "--levels", "1..2",
                  "--out", "/nonexistent-dir/x/report.txt"]) == 2
+
+
+def test_solver_failure_is_logged(monkeypatch, caplog):
+    def failing_cg(A, F, rel_tol):
+        stats = SolveStats(iterations=7, relative_residual=1e-3, wall_time=0.0)
+        raise SolverError("no convergence", stats, np.zeros_like(F), F)
+
+    monkeypatch.setattr(igfem.cli, "cg_solve", failing_cg)
+    with caplog.at_level(logging.WARNING, logger="igfem.cli"):
+        code = main(["--family", "p3_interp", "--levels", "1..2"])
+    assert code == 3
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("igfem.cli", logging.WARNING, f"solver failure: p3_interp level {level}: "
+                                        "no convergence") for level in (1, 2)]
+    report = run_experiment(ExperimentConfig(family="p3_interp", levels=(1, 2)))
+    assert report.rows == []
+    assert report.failures == [(1, "p3_interp level 1: no convergence"),
+                               (2, "p3_interp level 2: no convergence")]
