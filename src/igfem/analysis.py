@@ -126,38 +126,45 @@ def _block_eval(side, coeffs, vals, grads, xy):
     return (coeffs[:, None, :] @ vals)[:, 0], np.einsum("bn,bnpd->bpd", coeffs, grads)
 
 
-def error_norms(a, b, quad_degree: int | None = None) -> tuple[float, float]:
-    """(L2 norm, broken H1 seminorm) of a - b by elementwise quadrature.
+def error_norms(a, *bs, quad_degree: int | None = None) -> tuple[float, ...]:
+    """(L2 norm, broken H1 seminorm) of a - b by elementwise quadrature, as
+    one flat tuple (l2_1, h1_1, l2_2, h1_2, ...) with a pair per b in bs.
 
-    Either argument may be a FeFunction or an analytic problem-like object
-    with fields u(x, y) and grad(x, y); at least one side must be a
-    FeFunction, and two FeFunctions must share their Space.
+    Every argument may be a FeFunction or an analytic problem-like object
+    with fields u(x, y) and grad(x, y); at least one must be a FeFunction,
+    and all FeFunctions must share their Space.  The basis tables are built
+    once for all pairs.
     """
-    fes = [x for x in (a, b) if isinstance(x, FeFunction)]
+    if not bs:
+        raise TypeError("error_norms needs at least one function to compare with")
+    sides = (a, *bs)
+    fes = [x for x in sides if isinstance(x, FeFunction)]
     if not fes:
         raise ValueError("at least one argument must be a FeFunction")
     space = fes[0].space
-    if len(fes) == 2 and fes[1].space is not space:
+    if any(fe.space is not space for fe in fes[1:]):
         raise ValueError("FeFunctions live on different meshes/spaces")
 
     rule = make_quad_rule(quad_degree if quad_degree is not None
                           else norm_rule_degree(space.k))
-    tables = [x.coeff_table() if isinstance(x, FeFunction) else None for x in (a, b)]
-    sq = np.zeros((2, space.n_elements, len(space.elements[0].geoms)))   # L2, H1 terms
+    tables = [x.coeff_table() if isinstance(x, FeFunction) else None for x in sides]
+    # L2 and H1 terms of every pair, per (element, part)
+    sq = np.zeros((len(bs), 2, space.n_elements, len(space.elements[0].geoms)))
     for s, basis, verts, grad_lambda, area in element_blocks(space):
         for part in range(basis.shape[2]):
             vals = block_values(basis[:, :, part], space.k, rule.points)
             grads = block_gradients(basis[:, :, part], space.k, grad_lambda[:, part],
                                     rule.points)
             xy = rule.points @ verts[:, part]
-            (va, ga), (vb, gb) = [_block_eval(x, None if t is None else t[s], vals, grads, xy)
-                                  for x, t in zip((a, b), tables)]
+            (va, ga), *rest = [_block_eval(x, None if t is None else t[s], vals, grads, xy)
+                               for x, t in zip(sides, tables)]
             w = (rule.weights * area[:, part, None])[:, None, :]     # (B, 1, P)
-            sq[0, s, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
-            sq[1, s, part] = (w @ np.sum((ga - gb) ** 2, axis=2)[:, :, None])[:, 0, 0]
+            for i, (vb, gb) in enumerate(rest):
+                sq[i, 0, s, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
+                sq[i, 1, s, part] = (w @ np.sum((ga - gb) ** 2, axis=2)[:, :, None])[:, 0, 0]
     # added in element order, as a loop over the elements adds them
-    l2_sq, h1_sq = np.cumsum(sq.reshape(2, -1), axis=1)[:, -1]
-    return math.sqrt(abs(l2_sq)), math.sqrt(abs(h1_sq))
+    sums = np.cumsum(sq.reshape(2 * len(bs), -1), axis=1)[:, -1]
+    return tuple(math.sqrt(abs(v)) for v in sums)
 
 
 def convergence_orders(errors) -> list:

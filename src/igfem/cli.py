@@ -14,10 +14,13 @@ import io
 import json
 import logging
 import math
+import os
+import platform
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .analysis import ErrorRecord, convergence_orders, error_norms, interpolate_exact, FeFunction
 from .assembly import FAMILIES, assemble_system, build_space, resolve_degree
@@ -143,15 +146,26 @@ _ROW_KEYS = ("level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",
              "l2_true", "h1_true", "order_l2", "order_h1", "cg_iters")
 
 
+def _environment() -> dict:
+    """Library versions and BLAS threading of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS",
+                                                    "OMP_NUM_THREADS")}}
+
+
 @dataclass
 class ConvergenceReport:
     config: ExperimentConfig
     rows: list = field(default_factory=list)           # dicts, _ROW_KEYS (+cond_est...)
     baseline_rows: list | None = None
     failures: list = field(default_factory=list)       # (level, message)
+    env: dict = field(default_factory=_environment)    # where the numbers were made
 
     def to_dict(self) -> dict:
-        out = {"config": self.config.to_dict(), "rows": self.rows}
+        out = {"config": self.config.to_dict(), "env": self.env, "rows": self.rows}
         if self.baseline_rows is not None:
             out["baseline_rows"] = self.baseline_rows
         if self.failures:
@@ -162,7 +176,8 @@ class ConvergenceReport:
     def from_dict(cls, d: dict) -> "ConvergenceReport":
         return cls(config=ExperimentConfig.from_dict(d["config"]),
                    rows=d["rows"], baseline_rows=d.get("baseline_rows"),
-                   failures=[tuple(fl) for fl in d.get("failures", [])])
+                   failures=[tuple(fl) for fl in d.get("failures", [])],
+                   env=d.get("env", {}))
 
     def __eq__(self, other):
         return isinstance(other, ConvergenceReport) and self.to_dict() == other.to_dict()
@@ -188,8 +203,7 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             continue
         u_h = FeFunction(space=space, free=x, interp=system.interp_coeffs)
         i_h = interpolate_exact(problem.u, problem.f, space)
-        l2_ih, h1_ih = error_norms(i_h, u_h)
-        l2_true, h1_true = error_norms(problem, u_h)
+        l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
         record = ErrorRecord(level=level, h=mesh.h, free_dofs=dm.n_free,
                              interp_dofs=dm.n_interp, l2_ih=l2_ih, h1_ih=h1_ih,
                              l2_true=l2_true, h1_true=h1_true)
@@ -284,10 +298,10 @@ def _text_report(report: ConvergenceReport) -> str:
     for label, rows in groups:
         for r in rows:
             by_level.setdefault(r["level"], {})[label] = r
-    for level in sorted(by_level):
+    for level in cfg.levels:
         cells = []
         for label, _ in groups:
-            r = by_level[level].get(label)
+            r = by_level.get(level, {}).get(label)
             if r is None:
                 cell = "(solver failure)"
             else:

@@ -117,10 +117,17 @@ def block_values(coeffs, k: int, bary) -> np.ndarray:
 def block_gradients(coeffs, k: int, grad_lambda, bary) -> np.ndarray:
     """Gradients (B, nb, P, 2) of a (B, nb, nc) block of degree-k bases; grad_lambda (B, 3, 2)."""
     maps = _reduction_maps(k)
-    gcoef = np.zeros(coeffs.shape[:2] + (num_coeffs(k - 1), 2))
+    B, nb, _ = coeffs.shape
+    nc = num_coeffs(k - 1)
+    # coefficient axis first: einsum then adds the c-th product into every
+    # output in c order, the sequential sum of the per-element contraction.
+    # A contiguous innermost c axis, matmul or optimize=True change the bits.
+    gcoef = np.zeros((nc, B, nb, 2))
+    by_coeff = coeffs.transpose(2, 0, 1)
     for i in range(3):
-        gcoef += coeffs[:, :, maps[i], None] * grad_lambda[:, None, None, i]
-    return k * np.einsum("pc,bncd->bnpd", bernstein_values(k - 1, bary), gcoef)
+        gcoef += by_coeff[maps[i], :, :, None] * grad_lambda[None, :, None, i]
+    table = np.einsum("pc,cx->px", bernstein_values(k - 1, bary), gcoef.reshape(nc, -1))
+    return k * np.ascontiguousarray(table.reshape(-1, B, nb, 2).transpose(1, 2, 0, 3))
 
 
 def laplacian_operator(k: int, geom: TriGeom) -> np.ndarray:
@@ -310,7 +317,8 @@ def build_pk_basis(geom: TriGeom, k: int) -> LocalElement:
     lap_op = laplacian_operator(k, geom)
     lap_vals = bernstein_values(k - 2, qb) @ lap_op       # (P, nc)
     b_vals = bpoly_eval(bub, qb)
-    moment_rows = np.array([((w * b_vals * bpoly_eval(pj, qb)) @ lap_vals)
+    low = bernstein_values(k - 3, qb)
+    moment_rows = np.array([((w * b_vals * (low @ pj.coeffs)) @ lap_vals)
                             for pj in pjs])               # (d, nc)
 
     M = np.vstack([node_rows, moment_rows])

@@ -127,16 +127,25 @@ def bernstein_values(k: int, bary: np.ndarray) -> np.ndarray:
     bary: (P, 3) -> returns (P, ncoeff).
     """
     bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    P = bary.shape[0]
-    out = np.empty((P, num_coeffs(k)))
-    l1, l2, l3 = bary[:, 0], bary[:, 1], bary[:, 2]
+    m, a, b, c = _bernstein_table(k)
     # powers up to k
-    pow1 = np.vander(l1, k + 1, increasing=True)
-    pow2 = np.vander(l2, k + 1, increasing=True)
-    pow3 = np.vander(l3, k + 1, increasing=True)
-    for idx, (a, b, c) in enumerate(multi_indices(k)):
-        m = factorial(k) // (factorial(a) * factorial(b) * factorial(c))
-        out[:, idx] = m * pow1[:, a] * pow2[:, b] * pow3[:, c]
+    pow1 = np.vander(bary[:, 0], k + 1, increasing=True)
+    pow2 = np.vander(bary[:, 1], k + 1, increasing=True)
+    pow3 = np.vander(bary[:, 2], k + 1, increasing=True)
+    # C order, as BLAS products with this table round differently on a
+    # transposed layout (pow1[:, a] would give one)
+    return m * pow1.take(a, axis=1) * pow2.take(b, axis=1) * pow3.take(c, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _bernstein_table(k: int) -> tuple[np.ndarray, ...]:
+    """Multinomials k!/(a! b! c!) and the exponent columns a, b, c of the
+    degree-k multi-indices, read-only."""
+    m = np.array([factorial(k) // (factorial(a) * factorial(b) * factorial(c))
+                  for a, b, c in multi_indices(k)], dtype=float)
+    out = (m, *np.array(multi_indices(k)).T)
+    for arr in out:
+        arr.setflags(write=False)
     return out
 
 

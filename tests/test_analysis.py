@@ -181,6 +181,21 @@ def test_error_norms_needs_fe_side():
         error_norms(SINE, SINE)
 
 
+def test_error_norms_flat_pairs():
+    space = build_space(build_crisscross_mesh(2), "pk_lagrange", 3)
+    u_h = solve(space, SINE)
+    zero = FeFunction.zero(space)
+    assert error_norms(u_h, zero, SINE, u_h) == (
+        error_norms(u_h, zero) + error_norms(u_h, SINE) + (0.0, 0.0))
+    with pytest.raises(TypeError):
+        error_norms(u_h)
+    with pytest.raises(ValueError):
+        error_norms(SINE, SINE, SINE)
+    other = solve(build_space(build_crisscross_mesh(3), "pk_lagrange", 3), SINE)
+    with pytest.raises(ValueError):
+        error_norms(SINE, u_h, other)
+
+
 def test_convergence_orders_table_pair():
     orders = convergence_orders([0.723e-04, 0.887e-05])
     assert orders[0] is None
@@ -268,6 +283,10 @@ def test_interpolant_and_norms_bit_identical_to_element_loop(family, k, level, p
     assert np.array_equal(i_h.interp, ref.interp)
     assert error_norms(i_h, u_h) == _reference_error_norms(ref, u_h)
     assert error_norms(SINE, u_h) == _reference_error_norms(SINE, u_h)
+    # one pass over both pairs, in either order, gives the bits of the loop
+    both = _reference_error_norms(ref, u_h) + _reference_error_norms(SINE, u_h)
+    assert error_norms(u_h, i_h, SINE) == both
+    assert error_norms(u_h, i_h, SINE) == error_norms(i_h, u_h) + error_norms(SINE, u_h)
 
 
 @pytest.mark.parametrize("family", ["p2nc_interp", "p2nc_std"])

@@ -1,8 +1,10 @@
 import json
 import logging
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import igfem.cli
 from igfem.cli import (ConvergenceReport, ExperimentConfig, PROBLEMS, emit_report,
@@ -190,7 +192,7 @@ def test_main_exit_codes(tmp_path):
                  "--out", "/nonexistent-dir/x/report.txt"]) == 2
 
 
-def test_solver_failure_is_logged(monkeypatch, caplog):
+def test_solver_failure_is_logged(monkeypatch, caplog, capsys):
     def failing_cg(A, F, rel_tol):
         stats = SolveStats(iterations=7, relative_residual=1e-3, wall_time=0.0)
         raise SolverError("no convergence", stats, np.zeros_like(F), F)
@@ -199,6 +201,9 @@ def test_solver_failure_is_logged(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="igfem.cli"):
         code = main(["--family", "p3_interp", "--levels", "1..2"])
     assert code == 3
+    # a level that failed in every family still gets its line
+    assert capsys.readouterr().out.split("\n")[3:] == [
+        f"{level:4d}  {'(solver failure)':<38s}" for level in (1, 2)] + [""]
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("igfem.cli", logging.WARNING, f"solver failure: p3_interp level {level}: "
                                         "no convergence") for level in (1, 2)]
@@ -206,3 +211,20 @@ def test_solver_failure_is_logged(monkeypatch, caplog):
     assert report.rows == []
     assert report.failures == [(1, "p3_interp level 1: no convergence"),
                                (2, "p3_interp level 2: no convergence")]
+
+
+def test_json_report_records_environment(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    report = run_experiment(ExperimentConfig(family="p2c_interp", levels=(1,)))
+    data = json.loads(emit_report(report, "json", None))
+    env = data["env"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version",
+                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert isinstance(env["blas"], str) and env["blas"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+    assert ConvergenceReport.from_dict(data) == report
+    for fmt in ("csv", "text"):
+        assert "OPENBLAS" not in emit_report(report, fmt, None)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from igfem.elements import (BARYCENTER, boundary_multi_indices, build_fs_bubble,
+from math import factorial
+
+from igfem.assembly import load_rule_degree, norm_rule_degree, stiffness_rule_degree
+from igfem.elements import (BARYCENTER, block_gradients, block_values,
+                            boundary_multi_indices, build_fs_bubble,
                             build_lagrange_basis, build_p2c_macro_basis,
                             build_p2nc_element, build_p3_basis, build_pk_basis,
                             gram_schmidt_pj, laplacian_operator)
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
 from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval,
                         bpoly_grad, bpoly_laplacian, bpoly_from_point_values,
-                        domain_points, make_quad_rule, multi_indices, num_coeffs)
+                        domain_points, make_quad_rule, multi_indices, num_coeffs,
+                        MAX_QUAD_DEGREE, _reduction_maps)
 
 REF = TriGeom.from_vertices([(0, 0), (1, 0), (0, 1)])
 
@@ -396,3 +401,82 @@ def test_interior_and_boundary_functionals_are_disjoint():
                 lap = bpoly_eval(bpoly_laplacian(el.function(i)), BARYCENTER)
                 if dof.kind == "node":
                     assert abs(lap) <= 1e-9
+
+
+# --- tabulation: bit identity with the loop and block-axis-first forms ---------
+
+def _reference_bernstein_values(k, bary):
+    """bernstein_values as a loop over the multi-indices."""
+    bary = np.atleast_2d(np.asarray(bary, dtype=float))
+    out = np.empty((bary.shape[0], num_coeffs(k)))
+    pows = [np.vander(bary[:, i], k + 1, increasing=True) for i in range(3)]
+    for idx, (a, b, c) in enumerate(multi_indices(k)):
+        m = factorial(k) // (factorial(a) * factorial(b) * factorial(c))
+        out[:, idx] = m * pows[0][:, a] * pows[1][:, b] * pows[2][:, c]
+    return out
+
+
+def _reference_block_gradients(coeffs, k, grad_lambda, bary):
+    """block_gradients with the block axis first in its einsum."""
+    maps = _reduction_maps(k)
+    gcoef = np.zeros(coeffs.shape[:2] + (num_coeffs(k - 1), 2))
+    for i in range(3):
+        gcoef += coeffs[:, :, maps[i], None] * grad_lambda[:, None, None, i]
+    return k * np.einsum("pc,bncd->bnpd", _reference_bernstein_values(k - 1, bary), gcoef)
+
+
+def _rule_degrees(k):
+    """Every rule a degree-k tabulation runs at: stiffness, load, norms, and
+    the Gram matrix of the degree-k moment polynomials of P_{k+3}."""
+    return sorted({stiffness_rule_degree(k), load_rule_degree(k), norm_rule_degree(k),
+                   min(2 * (k + 3), MAX_QUAD_DEGREE)})
+
+
+@pytest.mark.parametrize("k", range(0, MAX_QUAD_DEGREE + 1))
+def test_bernstein_values_bit_identical_to_loop(k):
+    rng = np.random.default_rng(k)
+    point_sets = [make_quad_rule(d).points for d in range(0, MAX_QUAD_DEGREE + 1, 2)]
+    point_sets += [rng.dirichlet([1.0, 1.0, 1.0], size=17), BARYCENTER,
+                   np.array(multi_indices(max(k, 1)), dtype=float) / max(k, 1)]
+    for bary in point_sets:
+        got = bernstein_values(k, bary)
+        assert np.array_equal(got, _reference_bernstein_values(k, bary))
+        # BLAS products with the table round by its layout
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_block_tabulation_bit_identical_to_reference(k):
+    rng = np.random.default_rng(100 + k)
+    nc = num_coeffs(k)
+    for degree in _rule_degrees(k):
+        bary = make_quad_rule(degree).points
+        for B in (1, 7, 8, 64):
+            coeffs = rng.normal(size=(B, nc, nc))
+            grad_lambda = rng.normal(size=(B, 3, 2))
+            got = block_gradients(coeffs, k, grad_lambda, bary)
+            assert np.array_equal(got, _reference_block_gradients(coeffs, k, grad_lambda, bary))
+            assert got.flags.c_contiguous
+            assert np.array_equal(block_values(coeffs, k, bary),
+                                  coeffs @ _reference_bernstein_values(k, bary).T)
+
+
+def _reference_pk_coefficients(geom, k):
+    """build_pk_basis's coefficient matrix with every p_j evaluated by bpoly_eval."""
+    rule = make_quad_rule(min(2 * k, MAX_QUAD_DEGREE))
+    w = rule.weights * geom.area
+    b_vals = bpoly_eval(BPoly(3, _bubble_coeffs(), geom), rule.points)
+    lap_vals = bernstein_values(k - 2, rule.points) @ laplacian_operator(k, geom)
+    moment_rows = np.array([((w * b_vals * bpoly_eval(pj, rule.points)) @ lap_vals)
+                            for pj in gram_schmidt_pj(geom, k)])
+    node_rows = bernstein_values(k, np.array(boundary_multi_indices(k), dtype=float) / k)
+    return np.linalg.inv(np.vstack([node_rows, moment_rows])).T
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_pk_basis_bit_identical_to_per_polynomial_evaluation(k):
+    mesh = build_crisscross_mesh(2, perturb=0.2)
+    for tri in mesh.triangles:
+        geom = TriGeom.from_vertices(mesh.vertices[tri])
+        assert np.array_equal(build_pk_basis(geom, k).basis[:, 0, :],
+                              _reference_pk_coefficients(geom, k))
