@@ -8,9 +8,9 @@ Galerkin system is solved only for the inter-element boundary unknowns.
 from .mesh import Mesh, build_crisscross_mesh, edge_gauss_points
 from .poly import BPoly, QuadRule, TriGeom, bpoly_eval, bpoly_grad, \
     bpoly_from_point_values, bpoly_laplacian, make_quad_rule
-from .elements import DofDescriptor, LocalElement, build_fs_bubble, \
-    build_lagrange_basis, build_p2c_macro_basis, build_p2nc_element, \
-    build_p3_basis, build_pk_basis, gram_schmidt_pj
+from .elements import build_fs_bubble, build_lagrange_basis, \
+    build_p2c_macro_basis, build_p2nc_element, build_p3_basis, build_pk_basis, \
+    gram_schmidt_pj
 from .assembly import DofMap, FAMILIES, SparseSystem, Space, assemble_system, \
     build_dof_map, build_space, interior_coefficients
 from .solver import ConditionEstimate, SolveStats, SolverError, cg_solve, \

@@ -90,17 +90,15 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
     """
     dm = space.dof_map
     if space.family in ("p2nc_interp", "p2nc_std"):
-        geoms = [e.geoms[0] for e in space.elements]
-        verts = np.array([g.vertices for g in geoms])
-        gp = triangle_gauss_points(verts)                            # (E, 6, 2)
+        gp = triangle_gauss_points(space.verts[:, 0])                # (E, 6, 2)
         a = u(gp[..., 0], gp[..., 1]) @ _NC_FIT.T
-        bubble = f(*verts.mean(axis=1).T)
+        bubble = f(*space.lap_xy.T)
         interp = bubble[:, None]
         if space.family == "p2nc_std":
             # same function in the plain-nodal basis: the bubble picks up the
             # nodal functions' Laplacian content; the Bernstein quadratic of
             # e_i + e_j has Laplacian (2 if i == j else 4) grad l_i . grad l_j
-            g = np.array([geom.grad_lambda for geom in geoms])
+            g = space.grad_lambda[:, 0]
             i, j = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]).T
             lap = np.where(i == j, 2.0, 4.0) * np.sum(g[:, i] * g[:, j], axis=2)
             bubble = np.sum(a * (lap @ _collocation_inverse(2)), axis=1) + bubble
@@ -109,11 +107,9 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
 
     # u once per free node; a node shared by several elements takes its
     # point from the last of them, whose coordinates may differ in the last bit
-    nodes = np.flatnonzero(~dm.interp_mask)
-    pts = np.array([[e.dofs[m].point for m in nodes] for e in space.elements])
-    g = dm.dofs[:, nodes].ravel()
+    g = dm.dofs[:, :space.node_xy.shape[1]].ravel()
     keys, first_rev = np.unique(g[::-1], return_index=True)
-    xy = pts.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
+    xy = space.node_xy.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
     return FeFunction(space=space, free=u(xy[:, 0], xy[:, 1]),
                       interp=interior_coefficients(space, f))
 
@@ -149,7 +145,7 @@ def error_norms(a, *bs, quad_degree: int | None = None) -> tuple[float, ...]:
                           else norm_rule_degree(space.k))
     tables = [x.coeff_table() if isinstance(x, FeFunction) else None for x in sides]
     # L2 and H1 terms of every pair, per (element, part)
-    sq = np.zeros((len(bs), 2, space.n_elements, len(space.elements[0].geoms)))
+    sq = np.zeros((len(bs), 2) + space.area.shape)
     for s, basis, verts, grad_lambda, area in element_blocks(space):
         for part in range(basis.shape[2]):
             vals = block_values(basis[:, :, part], space.k, rule.points)

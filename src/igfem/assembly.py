@@ -16,7 +16,8 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import Mesh
-from .poly import TriGeom, bernstein_values, bpoly_eval, make_quad_rule, MAX_QUAD_DEGREE
+from .poly import (bernstein_values, make_quad_rule, multi_indices, num_coeffs,
+                   triangle_geometry, MAX_QUAD_DEGREE)
 
 __all__ = [
     "FAMILIES",
@@ -25,7 +26,6 @@ __all__ = [
     "DofMap",
     "SparseSystem",
     "resolve_degree",
-    "build_local_element",
     "build_space",
     "build_dof_map",
     "interior_coefficients",
@@ -72,24 +72,6 @@ def norm_rule_degree(k: int) -> int:
     return min(2 * k + 4, MAX_QUAD_DEGREE)
 
 
-def build_local_element(mesh: Mesh, family: str, k: int, eid: int) -> el.LocalElement:
-    """Build the local basis for element `eid` (triangle id, or macro id for p2c)."""
-    if family == "p2c_interp":
-        corners = mesh.vertices[mesh.macro_corners[eid]]
-        center = mesh.vertices[mesh.macro_centers[eid]]
-        return el.build_p2c_macro_basis(corners, center)
-    geom = TriGeom.from_vertices(mesh.vertices[mesh.triangles[eid]])
-    if family == "p2nc_interp":
-        return el.build_p2nc_element(geom)
-    if family == "p2nc_std":
-        return el.build_p2nc_element(geom, standard=True)
-    if family == "p3_interp":
-        return el.build_p3_basis(geom)
-    if family == "pk_interp":
-        return el.build_pk_basis(geom, k)
-    return el.build_lagrange_basis(geom, k)
-
-
 @dataclass
 class DofMap:
     """Global numbering of the local slots of every element.
@@ -121,19 +103,6 @@ class DofMap:
         return int((~self.interp_mask).sum())
 
 
-def _simplex_slot_layout(family: str, k: int):
-    """Local slot descriptors as (kind, alpha-or-None) in local basis order."""
-    if family in ("p2nc_interp", "p2nc_std"):
-        return [("node", a) for a in el.multi_indices(2)] + [("lap", None)]
-    if family == "p3_interp":
-        return [("node", a) for a in el.boundary_multi_indices(3)] + [("lap", None)]
-    if family == "pk_interp":
-        d = (k - 2) * (k - 1) // 2
-        return ([("node", a) for a in el.boundary_multi_indices(k)]
-                + [("lap", j) for j in range(d)])
-    return [("node", a) for a in el.multi_indices(k)]
-
-
 def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     """Number global DOFs: shared entities identified, boundary DOFs constrained.
 
@@ -147,45 +116,35 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     if family == "p2c_interp" and mesh.perturbation != 0.0:
         raise ValueError("p2c_interp requires an unperturbed criss-cross mesh")
 
+    # the vertices the node multi-indices run over, per element
+    ents = mesh.macro_corners if family == "p2c_interp" else mesh.triangles
+    t = np.arange(len(ents))
+    alphas, n_interior = el.slot_layout(family, k)
+    interior = sorted(a for a in multi_indices(k) if min(a) > 0)
     # per local slot: (key category, entity id, position, on the boundary)
     # over all elements, or None for an interpolated slot
     columns = []
-    if family == "p2c_interp":
-        for c in mesh.macro_corners.T:
-            columns.append((0, c, 0, mesh.vertex_boundary[c]))
-        for e in mesh.macro_side_edges.T:
-            columns.append((1, e, 0, mesh.edge_boundary[e]))
-        columns.append(None)
-        n_el = mesh.num_macros
-    else:
-        interpolated = family in INTERPOLATED_FAMILIES
-        tris = mesh.triangles
-        t = np.arange(mesh.num_triangles)
-        interior = sorted(a for a in el.multi_indices(k) if min(a) > 0)
-        for kind, alpha in _simplex_slot_layout(family, k):
-            if kind == "lap":
-                columns.append(None if interpolated else
-                               (2, t, alpha if alpha is not None else 0, False))
-                continue
-            nz = [i for i in range(3) if alpha[i] > 0]
-            if len(nz) == 1:
-                v = tris[:, nz[0]]
-                columns.append((0, v, 0, mesh.vertex_boundary[v]))
-            elif len(nz) == 2:
-                i, j = nz
-                vi, vj = tris[:, i], tris[:, j]
-                e = mesh.edge_id(vi, vj)
-                columns.append((1, e, np.where(vi < vj, alpha[j], alpha[i]),
-                                mesh.edge_boundary[e]))
-            else:  # interior lattice node, ranked in lexicographic order
-                columns.append((3, t, interior.index(alpha), False))
-        n_el = mesh.num_triangles
+    for alpha in alphas:
+        nz = [i for i in range(len(alpha)) if alpha[i] > 0]
+        if len(nz) == 1:
+            v = ents[:, nz[0]]
+            columns.append((0, v, 0, mesh.vertex_boundary[v]))
+        elif len(nz) == 2:
+            i, j = nz
+            vi, vj = ents[:, i], ents[:, j]
+            e = mesh.edge_id(vi, vj)
+            columns.append((1, e, np.where(vi < vj, alpha[j], alpha[i]),
+                            mesh.edge_boundary[e]))
+        else:  # interior lattice node, ranked in lexicographic order
+            columns.append((3, t, interior.index(alpha), False))
+    interpolated = family in INTERPOLATED_FAMILIES
+    columns += [None if interpolated else (2, t, j, False) for j in range(n_interior)]
 
     # one integer per entity key, ordered as the keys are
     stride = max(mesh.num_vertices, mesh.num_edges, mesh.num_triangles,
                  len(columns)) + 1
-    code = np.zeros((n_el, len(columns)), dtype=np.int64)
-    boundary = np.zeros((n_el, len(columns)), dtype=bool)
+    code = np.zeros((len(ents), len(columns)), dtype=np.int64)
+    boundary = np.zeros((len(ents), len(columns)), dtype=bool)
     for m, col in enumerate(columns):
         if col is not None:
             category, entity, position, bnd = col
@@ -203,42 +162,75 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
 
 @dataclass
 class Space:
-    """Mesh + family + per-element local bases + global DOF map."""
+    """Mesh + family + the local bases of all elements + global DOF map.
+
+    Element e (a triangle, or a macro square for p2c) has parts p, the
+    triangles its basis is polynomial on; `basis[e, i, p]` holds the
+    Bernstein coefficients of basis function i on part p.
+    """
 
     mesh: Mesh
     family: str
     k: int
-    elements: list
     dof_map: DofMap
+    basis: np.ndarray               # (E, nb, parts, nc), C-contiguous
+    verts: np.ndarray               # (E, parts, 3, 2)
+    grad_lambda: np.ndarray         # (E, parts, 3, 2)
+    area: np.ndarray                # (E, parts)
+    node_xy: np.ndarray             # (E, n_node, 2) points of the node slots
+    lap_xy: np.ndarray | None       # (E, 2) Laplacian points: p2c, p2nc, p3
+    moments: np.ndarray | None      # (E, d, nc_{k-3}) pk_interp: orthonormal p_j
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
-
-
-def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
-    k = resolve_degree(family, k)
-    dof_map = build_dof_map(mesh, family, k)
-    n = mesh.num_macros if family == "p2c_interp" else mesh.num_triangles
-    elems = [build_local_element(mesh, family, k, e) for e in range(n)]
-    return Space(mesh=mesh, family=family, k=k, elements=elems, dof_map=dof_map)
+        return len(self.basis)
 
 
 # elements per block of the element passes; larger blocks raise peak memory
 BLOCK = 8
 
 
+def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
+    k = resolve_degree(family, k)
+    dof_map = build_dof_map(mesh, family, k)
+    lap_xy = moments = None
+    if family == "p2c_interp":
+        corners = mesh.vertices[mesh.macro_corners]                 # (M, 4, 2)
+        lap_xy = mesh.vertices[mesh.macro_centers]
+        basis = el.build_p2c_macro_basis(corners, lap_xy)
+        verts = np.stack([corners, np.roll(corners, -1, axis=1),
+                          np.repeat(lap_xy[:, None], 4, axis=1)], axis=2)
+    else:
+        corners = mesh.vertices[mesh.triangles]                     # (T, 3, 2)
+        verts = corners[:, None]
+        if family == "pk_interp":
+            basis = np.empty((len(corners), num_coeffs(k), 1, num_coeffs(k)))
+            moments = np.empty((len(corners), num_coeffs(k - 3), num_coeffs(k - 3)))
+            for start in range(0, len(corners), BLOCK):
+                s = slice(start, start + BLOCK)
+                basis[s], moments[s] = el.build_pk_basis(corners[s], k)
+        elif family == "pk_lagrange":
+            basis = el.build_lagrange_basis(corners, k)
+        elif family == "p3_interp":
+            basis = el.build_p3_basis(corners)
+        else:
+            basis = el.build_p2nc_element(corners, standard=family == "p2nc_std")
+        if family in ("p2nc_interp", "p2nc_std", "p3_interp"):
+            lap_xy = corners.mean(axis=1)
+    grad_lambda, area = triangle_geometry(verts)
+    alphas, _ = el.slot_layout(family, k)
+    node_xy = (np.array(alphas, dtype=float) / k) @ corners
+    return Space(mesh=mesh, family=family, k=k, dof_map=dof_map, basis=basis,
+                 verts=verts, grad_lambda=grad_lambda, area=area, node_xy=node_xy,
+                 lap_xy=lap_xy, moments=moments)
+
+
 def element_blocks(space: Space):
     """Blocks of consecutive elements as (slice, basis (B, nb, parts, nc),
     vertices (B, parts, 3, 2), grad_lambda (B, parts, 3, 2), area (B, parts))."""
     for start in range(0, space.n_elements, BLOCK):
-        elems = space.elements[start:start + BLOCK]
-        geoms = [e.geoms for e in elems]
-        yield (slice(start, start + len(elems)),
-               np.array([e.basis for e in elems]),
-               np.array([[g.vertices for g in gs] for gs in geoms]),
-               np.array([[g.grad_lambda for g in gs] for gs in geoms]),
-               np.array([[g.area for g in gs] for gs in geoms]))
+        s = slice(start, start + BLOCK)
+        yield s, space.basis[s], space.verts[s], space.grad_lambda[s], space.area[s]
 
 
 def interior_coefficients(space: Space, f) -> np.ndarray:
@@ -249,16 +241,15 @@ def interior_coefficients(space: Space, f) -> np.ndarray:
     the value the moment functional assumes on the exact solution.
     """
     if space.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
-        pts = np.array([e.dofs[-1].point for e in space.elements])
-        return f(pts[:, 0], pts[:, 1])[:, None]
+        return f(space.lap_xy[:, 0], space.lap_xy[:, 1])[:, None]
     if space.family != "pk_interp":
         return np.zeros((space.n_elements, 0))
     rule = make_quad_rule(load_rule_degree(space.k))
-    bv = bpoly_eval(space.elements[0].bubble, rule.points)   # the same on every element
+    bv = bernstein_values(3, rule.points) @ el.BUBBLE
     low = bernstein_values(space.k - 3, rule.points)
     c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
     for s, _, verts, _, area in element_blocks(space):
-        pj = np.array([[p.coeffs for p in e.moment_basis] for e in space.elements[s]])
+        pj = space.moments[s]
         xy = rule.points @ verts[:, 0]
         fv = f(xy[..., 0], xy[..., 1])
         w = rule.weights * area

@@ -9,6 +9,7 @@ tables.  Runs with the same BLAS thread count are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,6 +18,7 @@ import math
 import os
 import platform
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +161,7 @@ def _environment() -> dict:
 @dataclass
 class ConvergenceReport:
     config: ExperimentConfig
-    rows: list = field(default_factory=list)           # dicts, _ROW_KEYS (+cond_est...)
+    rows: list = field(default_factory=list)           # dicts, _ROW_KEYS (+cond_est, timings...)
     baseline_rows: list | None = None
     failures: list = field(default_factory=list)       # (level, message)
     env: dict = field(default_factory=_environment)    # where the numbers were made
@@ -183,38 +185,58 @@ class ConvergenceReport:
         return isinstance(other, ConvergenceReport) and self.to_dict() == other.to_dict()
 
 
+@contextlib.contextmanager
+def _timed(timings: dict, phase: str):
+    """Record the wall time of the block in timings[phase]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] = time.perf_counter() - start
+
+
 def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
                 condition: bool, failures: list) -> list[dict]:
     rows = []
     for level in levels:
-        mesh = build_crisscross_mesh(level)
-        space = build_space(mesh, family, k)
-        system = assemble_system(space, f=problem.f)
+        timings: dict = {}
+        with _timed(timings, "mesh"):
+            mesh = build_crisscross_mesh(level)
+        with _timed(timings, "space"):
+            space = build_space(mesh, family, k)
+        with _timed(timings, "assemble"):
+            system = assemble_system(space, f=problem.f)
         dm = space.dof_map
         x, iters, residual = np.zeros(0), 0, 0.0
         try:
-            if dm.n_free:
-                x, stats = cg_solve(system.A, system.F, rel_tol=tol)
-                iters, residual = stats.iterations, stats.relative_residual
+            with _timed(timings, "cg"):
+                if dm.n_free:
+                    x, stats = cg_solve(system.A, system.F, rel_tol=tol)
+                    iters, residual = stats.iterations, stats.relative_residual
         except SolverError as err:
             failures.append((level, f"{family} level {level}: {err}"))
             logging.getLogger(__name__).warning(
                 "solver failure: %s level %s: %s", family, level, err)
             continue
         u_h = FeFunction(space=space, free=x, interp=system.interp_coeffs)
-        i_h = interpolate_exact(problem.u, problem.f, space)
-        l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
+        with _timed(timings, "interpolate"):
+            i_h = interpolate_exact(problem.u, problem.f, space)
+        with _timed(timings, "norms"):
+            l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
         record = ErrorRecord(level=level, h=mesh.h, free_dofs=dm.n_free,
                              interp_dofs=dm.n_interp, l2_ih=l2_ih, h1_ih=h1_ih,
                              l2_true=l2_true, h1_true=h1_true)
         row = {**vars(record), "cg_iters": iters, "cg_residual": residual}
         if condition and dm.n_free:
-            est = estimate_condition(system.A)
+            with _timed(timings, "condition"):
+                est = estimate_condition(system.A)
             row["cond_est"] = est.condition
             row["lambda_max"] = est.lambda_max
             row["lambda_min"] = est.lambda_min_nonzero
             row["cond_converged"] = est.converged
             row["null_dim"] = est.null_dim
+        # seconds per phase, for the JSON report; CSV and text leave them out
+        row["timings"] = timings
         rows.append(row)
     for key, okey in (("l2_ih", "order_l2"), ("h1_ih", "order_h1")):
         orders = convergence_orders([r[key] for r in rows])

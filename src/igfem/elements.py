@@ -1,4 +1,4 @@
-"""Per-element bases for the five element families.
+"""Local bases of the five element families, built for many elements at once.
 
 Families:
   p2c_interp   piecewise-quadratic macro element on a criss-cross square,
@@ -10,39 +10,38 @@ Families:
   pk_interp    degree k >= 4: 3k boundary nodes + weighted-Laplacian moments
   pk_lagrange  full nodal Lagrange of any degree
 
+Every builder takes the vertices of E elements stacked in one array and
+returns arrays over them: basis[e, i, p] is the Bernstein coefficient vector
+of basis function i of element e on part p; simplex elements have a single
+part.  A builder does per element what a single-element builder would, with
+the same floating-point operations in the same order, so its bits do not
+depend on how many elements it gets.
+
 All interior (interpolated) basis functions follow one sign convention:
 their Laplacian value/moment equals -1, so the interpolated coefficient is
-obtained from +f.  Local degree-k node slots are ordered by the descending
-lexicographic order of their lattice multi-indices; interior slots come last.
+obtained from +f.  The local slots of every family are laid out by
+`slot_layout`: node slots first, interior slots last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .poly import (
-    BPoly,
-    TriGeom,
     bernstein_values,
-    bpoly_eval,
-    bpoly_grad,
-    bpoly_laplacian,
-    bpoly_from_point_values,
     make_quad_rule,
     multi_indices,
     num_coeffs,
+    triangle_geometry,
     _collocation_inverse,
     _reduction_maps,
     MAX_QUAD_DEGREE,
 )
 
 __all__ = [
-    "DofDescriptor",
-    "LocalElement",
     "block_values",
     "block_gradients",
+    "slot_layout",
     "build_p2c_macro_basis",
     "build_fs_bubble",
     "build_p2nc_element",
@@ -53,60 +52,15 @@ __all__ = [
     "laplacian_operator",
     "boundary_multi_indices",
     "BARYCENTER",
+    "BUBBLE",
 ]
 
 BARYCENTER = np.array([1.0, 1.0, 1.0]) / 3.0
 
-
-@dataclass(frozen=True)
-class DofDescriptor:
-    """What a local basis function is dual to.
-
-    kind 'node':       point evaluation; `alpha` is the lattice multi-index
-                       for simplex elements (None for the macro element).
-    kind 'lap_point':  Laplacian value at `point`; the dual function is
-                       normalized to Laplacian -1 there.
-    kind 'lap_moment': weighted-Laplacian moment number `index`; dual in the
-                       plain sense G_l(psi_m) = delta_lm.
-    """
-
-    kind: str
-    point: tuple | None = None
-    alpha: tuple | None = None
-    index: int | None = None
-
-
-@dataclass
-class LocalElement:
-    """Local basis over one triangle (or one 4-triangle macro-square).
-
-    basis[i, p] is the Bernstein coefficient vector of basis function i on
-    part p; simplex elements have a single part.
-    """
-
-    family: str
-    degree: int
-    geoms: list
-    dofs: list
-    basis: np.ndarray
-    moment_basis: list | None = None   # pk_interp: orthonormal p_j, degree k-3
-    bubble: BPoly | None = None        # pk_interp: cubic bubble 27*l1*l2*l3
-
-    @property
-    def n_basis(self) -> int:
-        return self.basis.shape[0]
-
-    def function(self, i: int, part: int = 0) -> BPoly:
-        return BPoly(self.degree, self.basis[i, part].copy(), self.geoms[part])
-
-    def basis_values(self, bary, part: int = 0) -> np.ndarray:
-        """Values of all basis functions at barycentric points: (nbasis, P)."""
-        return block_values(self.basis[None, :, part], self.degree, bary)[0]
-
-    def basis_gradients(self, bary, part: int = 0) -> np.ndarray:
-        """Gradients of all basis functions at barycentric points: (nbasis, P, 2)."""
-        return block_gradients(self.basis[None, :, part], self.degree,
-                               self.geoms[part].grad_lambda[None], bary)[0]
+# the cubic bubble b = 27*l1*l2*l3, value 1 at the barycenter
+BUBBLE = np.zeros(10)
+BUBBLE[multi_indices(3).index((1, 1, 1))] = 27.0 / 6.0
+BUBBLE.setflags(write=False)
 
 
 def block_values(coeffs, k: int, bary) -> np.ndarray:
@@ -130,26 +84,56 @@ def block_gradients(coeffs, k: int, grad_lambda, bary) -> np.ndarray:
     return k * np.ascontiguousarray(table.reshape(-1, B, nb, 2).transpose(1, 2, 0, 3))
 
 
-def laplacian_operator(k: int, geom: TriGeom) -> np.ndarray:
-    """Matrix mapping degree-k coefficients to degree-(k-2) Laplacian coefficients."""
-    if k < 2:
-        raise ValueError(f"laplacian needs degree >= 2, got {k}")
-    g = geom.grad_lambda
-    gram = g @ g.T
+def boundary_multi_indices(k: int) -> tuple[tuple[int, int, int], ...]:
+    """Lattice multi-indices on the triangle boundary, in descending lex order."""
+    return tuple(a for a in multi_indices(k) if min(a) == 0)
+
+
+# p2c node slots as multi-indices over the corners (SW, SE, NE, NW) of the
+# macro square: the four corners, then the midpoints of the sides
+# (bottom, right, top, left)
+_P2C_NODES = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+              (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
+
+
+def slot_layout(family: str, k: int) -> tuple[tuple, int]:
+    """The local slots of a family: the lattice multi-indices of its node
+    slots, which come first, and the number of interior slots after them.
+
+    Node slot alpha of an element sits at (alpha / k) @ its vertices; the
+    p2c multi-indices run over the four corners of the macro square.  The
+    interior slots are dual to a Laplacian value or to Laplacian moments.
+    """
+    if family == "p2c_interp":
+        return _P2C_NODES, 1
+    if family in ("p2nc_interp", "p2nc_std"):
+        return multi_indices(2), 1
+    if family == "p3_interp":
+        return boundary_multi_indices(3), 1
+    if family == "pk_interp":
+        return boundary_multi_indices(k), num_coeffs(k - 3)
+    return multi_indices(k), 0
+
+
+def _laplacian(coeffs, k: int, grad_lambda) -> np.ndarray:
+    """Degree-(k-2) Laplacian coefficients (E, nc_{k-2}, m) of the degree-k
+    coefficient columns (nc_k, m) on triangles with gradients grad_lambda (E, 3, 2)."""
+    gram = grad_lambda @ grad_lambda.transpose(0, 2, 1)
     maps_k = _reduction_maps(k)
     maps_k1 = _reduction_maps(k - 1)
-    eye = np.eye(num_coeffs(k))
-    out = np.zeros((num_coeffs(k - 2), num_coeffs(k)))
+    out = np.zeros((len(gram), num_coeffs(k - 2), coeffs.shape[1]))
     for i in range(3):
-        rows = eye[maps_k[i]]
         for j in range(3):
-            out += gram[i, j] * rows[maps_k1[j]]
+            out += gram[:, i, j, None, None] * coeffs[maps_k[i][maps_k1[j]]]
     return k * (k - 1) * out
 
 
-def boundary_multi_indices(k: int) -> list[tuple[int, int, int]]:
-    """Lattice multi-indices on the triangle boundary, in descending lex order."""
-    return [a for a in multi_indices(k) if min(a) == 0]
+def laplacian_operator(k: int, grad_lambda) -> np.ndarray:
+    """Matrices (E, nc_{k-2}, nc_k) mapping degree-k coefficients to Laplacian
+    coefficients on triangles with barycentric gradients grad_lambda (E, 3, 2)."""
+    if k < 2:
+        raise ValueError(f"laplacian needs degree >= 2, got {k}")
+    return _laplacian(np.eye(num_coeffs(k)), k, grad_lambda)
 
 
 def _lagrange_rows(k: int) -> np.ndarray:
@@ -157,98 +141,70 @@ def _lagrange_rows(k: int) -> np.ndarray:
     return _collocation_inverse(k).T
 
 
-def _node_points(alphas, k: int, geom: TriGeom) -> np.ndarray:
-    return (np.array(alphas, dtype=float) / k) @ geom.vertices
-
-
-def build_lagrange_basis(geom: TriGeom, k: int) -> LocalElement:
-    """Full nodal Lagrange basis on the uniform degree-k lattice."""
+def build_lagrange_basis(verts, k: int) -> np.ndarray:
+    """Full nodal Lagrange bases (E, nb, 1, nc) on the uniform degree-k lattice."""
     if k < 1:
         raise ValueError(f"lagrange degree must be >= 1, got {k}")
-    rows = _lagrange_rows(k)
-    alphas = multi_indices(k)
-    pts = _node_points(alphas, k, geom)
-    dofs = [DofDescriptor("node", point=tuple(pts[i]), alpha=alphas[i])
-            for i in range(len(alphas))]
-    return LocalElement(family="pk_lagrange", degree=k, geoms=[geom],
-                        dofs=dofs, basis=rows[:, None, :].copy())
+    return np.repeat(_lagrange_rows(k)[None, :, None, :], len(verts), axis=0)
 
 
-def build_fs_bubble(geom: TriGeom) -> BPoly:
-    """Quadratic bubble with Laplacian -1, vanishing at the six edge Gauss points.
+def build_fs_bubble(verts) -> np.ndarray:
+    """Quadratic bubbles (E, 6) with Laplacian -1, vanishing at the six edge
+    Gauss points of their triangles verts (E, 3, 2).
 
     phi0 = (2 - 3*(l1^2 + l2^2 + l3^2)) / (6 * sum_i |grad l_i|^2).
     """
-    s = float(np.sum(geom.grad_lambda ** 2))
+    g, _ = triangle_geometry(verts)
+    s = (g ** 2).reshape(len(g), 6).sum(axis=1)
     # q = 2 - 3*sum(l_i^2): vertex coefficients -1, edge coefficients 2
     q = np.array([-1.0, 2.0, 2.0, -1.0, 2.0, -1.0])
-    return BPoly(2, q / (6.0 * s), geom)
+    return q / (6.0 * s[:, None])
 
 
-def build_p2nc_element(geom: TriGeom, standard: bool = False) -> LocalElement:
-    """Quadratic nonconforming element: 6 nodal functions + Gauss-point bubble.
+def build_p2nc_element(verts, standard: bool = False) -> np.ndarray:
+    """Quadratic nonconforming bases (E, 7, 1, 6): 6 nodal functions + the
+    Gauss-point bubble.
 
     The interpolated variant corrects each nodal Lagrange function eta by
     (Lap eta) * phi0, making it harmonic while leaving its values at the six
     edge Gauss points unchanged.  The standard variant keeps plain eta and
     treats the bubble as an ordinary unknown.
     """
-    phi0 = build_fs_bubble(geom)
-    rows = _lagrange_rows(2).copy()
+    phi0 = build_fs_bubble(verts)
+    basis = np.empty((len(verts), 7, 1, 6))
+    basis[:, :6, 0] = _lagrange_rows(2)
+    basis[:, 6, 0] = phi0
     if not standard:
-        lap_op = laplacian_operator(2, geom)
+        lap_op = laplacian_operator(2, triangle_geometry(verts)[0])     # (E, 1, 6)
         for i in range(6):
-            const_lap = (lap_op @ rows[i])[0]
-            rows[i] = rows[i] + const_lap * phi0.coeffs
-    alphas = multi_indices(2)
-    pts = _node_points(alphas, 2, geom)
-    dofs = [DofDescriptor("node", point=tuple(pts[i]), alpha=alphas[i])
-            for i in range(6)]
-    dofs.append(DofDescriptor("lap_point", point=tuple(geom.barycenter)))
-    basis = np.vstack([rows, phi0.coeffs[None, :]])
-    family = "p2nc_std" if standard else "p2nc_interp"
-    return LocalElement(family=family, degree=2, geoms=[geom], dofs=dofs,
-                        basis=basis[:, None, :])
+            # one matrix-vector product per row, as on a single element
+            const_lap = (lap_op @ basis[:, i, 0, :, None])[:, 0]
+            basis[:, i, 0] += const_lap * phi0
+    return basis
 
 
-def _cubic_bubble(geom: TriGeom) -> BPoly:
-    """b = 27*l1*l2*l3, value 1 at the barycenter."""
-    coeffs = np.zeros(10)
-    coeffs[list(multi_indices(3)).index((1, 1, 1))] = 27.0 / 6.0
-    return BPoly(3, coeffs, geom)
-
-
-def build_p3_basis(geom: TriGeom) -> LocalElement:
-    """Cubic element: 9 boundary Lagrange nodes + barycenter-Laplacian bubble.
+def build_p3_basis(verts) -> np.ndarray:
+    """Cubic bases (E, 10, 1, 10): 9 boundary Lagrange nodes + the
+    barycenter-Laplacian bubble.
 
     phi0 = b / (-Lap b (x0)) has Lap phi0(x0) = -1 and vanishes on all edges;
     each boundary function is corrected to have zero Laplacian at x0.
     """
-    b = _cubic_bubble(geom)
-    lap_b = bpoly_laplacian(b)
-    phi0 = BPoly(3, b.coeffs / (-bpoly_eval(lap_b, BARYCENTER)), geom)
-
-    lagr = _lagrange_rows(3)
-    alphas = multi_indices(3)
-    lap_op = laplacian_operator(3, geom)
-    lap_at_x0 = bernstein_values(1, BARYCENTER)[0] @ (lap_op @ lagr.T)
-
-    rows = []
-    dofs = []
-    for i, alpha in enumerate(alphas):
-        if min(alpha) > 0:
-            continue
-        rows.append(lagr[i] + lap_at_x0[i] * phi0.coeffs)
-        pt = _node_points([alpha], 3, geom)[0]
-        dofs.append(DofDescriptor("node", point=tuple(pt), alpha=alpha))
-    rows.append(phi0.coeffs)
-    dofs.append(DofDescriptor("lap_point", point=tuple(geom.barycenter)))
-    return LocalElement(family="p3_interp", degree=3, geoms=[geom], dofs=dofs,
-                        basis=np.array(rows)[:, None, :])
+    g, _ = triangle_geometry(verts)
+    bary1 = bernstein_values(1, BARYCENTER)                         # (1, 3)
+    lap_b = _laplacian(BUBBLE[:, None], 3, g)                       # (E, 3, 1)
+    phi0 = BUBBLE / -(bary1 @ lap_b)[:, 0]                          # (E, 10)
+    lap_at_x0 = bary1[0] @ (laplacian_operator(3, g) @ _lagrange_rows(3).T)
+    nodes = [multi_indices(3).index(a) for a in boundary_multi_indices(3)]
+    basis = np.empty((len(verts), 10, 1, 10))
+    basis[:, :9, 0] = _lagrange_rows(3)[nodes] + lap_at_x0[:, nodes, None] * phi0[:, None]
+    basis[:, 9, 0] = phi0
+    return basis
 
 
-def gram_schmidt_pj(geom: TriGeom, k: int) -> list[BPoly]:
-    """Orthonormal degree-(k-3) polynomials under (u, v) = int grad(bu).grad(bv).
+def gram_schmidt_pj(verts, k: int) -> np.ndarray:
+    """Orthonormal degree-(k-3) polynomials (E, d, nc_{k-3}) under
+    (u, v) = int grad(bu).grad(bv), on triangles verts (E, 3, 2).
 
     Raw basis: monomials ((x-x0)/diam)^a ((y-y0)/diam)^b in ascending total
     degree (1, X, Y, X^2, XY, Y^2, ...), orthonormalized in that order.
@@ -256,47 +212,52 @@ def gram_schmidt_pj(geom: TriGeom, k: int) -> list[BPoly]:
     if k < 4:
         raise ValueError(f"moment element needs k >= 4, got {k}")
     deg = k - 3
-    x0, y0 = geom.barycenter
-    diam = geom.diameter
-    pts = (np.array(multi_indices(deg), dtype=float) / deg) @ geom.vertices
+    g, area = triangle_geometry(verts)
+    center = verts.mean(axis=1)
+    edges = verts - verts[:, [1, 2, 0]]
+    diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
+    pts = (np.array(multi_indices(deg), dtype=float) / deg) @ verts
+    X = (pts[..., 0] - center[:, 0, None]) / diam[:, None]
+    Y = (pts[..., 1] - center[:, 1, None]) / diam[:, None]
+    inv = _collocation_inverse(deg)
+    # point values to coefficients with one matrix-vector product per monomial
+    raws = np.stack([(inv @ ((X ** a) * (Y ** (total - a)))[..., None])[..., 0]
+                     for total in range(deg + 1) for a in range(total, -1, -1)], axis=1)
 
-    raws = []
-    for total in range(deg + 1):
-        for a in range(total, -1, -1):
-            b_exp = total - a
-            vals = (((pts[:, 0] - x0) / diam) ** a) * (((pts[:, 1] - y0) / diam) ** b_exp)
-            raws.append(bpoly_from_point_values(deg, vals, geom).coeffs)
-    raws = np.array(raws)
-
-    bub = _cubic_bubble(geom)
     rule = make_quad_rule(min(2 * k, MAX_QUAD_DEGREE))
     qb = rule.points
-    w = rule.weights * geom.area
-    b_vals = bpoly_eval(bub, qb)
-    b_grads = bpoly_grad(bub, qb)
+    w = rule.weights * area[:, None]
+    b_vals = bernstein_values(3, qb) @ BUBBLE
+    maps = _reduction_maps(3)
+    b_gcoef = np.zeros((len(g), 6, 2))
+    for i in range(3):
+        b_gcoef += BUBBLE[maps[i]][None, :, None] * g[:, None, i]
+    b_grads = bernstein_values(2, qb) @ (3 * b_gcoef)               # (E, P, 2)
     vals_low = bernstein_values(deg, qb)
 
     def gram_of(rows):
-        p_vals = vals_low @ rows.T                          # (P, d)
-        p_grads = block_gradients(rows[None], deg, geom.grad_lambda[None], qb)[0]
-        # grad(b p) = p grad b + b grad p, evaluated pointwise
-        gbp = p_vals.T[:, :, None] * b_grads[None, :, :] \
-            + b_vals[None, :, None] * p_grads
-        return np.einsum("npd,mpd,p->nm", gbp, gbp, w)
+        p_vals = vals_low @ rows.transpose(0, 2, 1)                 # (E, P, d)
+        p_grads = block_gradients(rows, deg, g, qb)
+        # grad(b p) = p grad b + b grad p, evaluated pointwise; einsum's bits
+        # follow the operand layout, so gbp is made C-contiguous
+        gbp = np.ascontiguousarray(p_vals.transpose(0, 2, 1)[..., None] * b_grads[:, None]
+                                   + b_vals[None, None, :, None] * p_grads)
+        return np.einsum("enpd,empd,ep->enm", gbp, gbp, w)
 
     coeffs = raws
     for _ in range(2):  # second pass restores orthogonality on thin triangles
         try:
             chol = np.linalg.cholesky(gram_of(coeffs))
         except np.linalg.LinAlgError as exc:
-            raise ValueError(f"Gram matrix numerically singular on triangle "
-                             f"{geom.vertices.tolist()}") from exc
+            raise ValueError("Gram matrix numerically singular on a triangle of "
+                             f"{verts.tolist()}") from exc
         coeffs = np.linalg.solve(chol, coeffs)
-    return [BPoly(deg, c, geom) for c in coeffs]
+    return coeffs
 
 
-def build_pk_basis(geom: TriGeom, k: int) -> LocalElement:
-    """Dual basis to {3k boundary node values} + {weighted-Laplacian moments}.
+def build_pk_basis(verts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dual bases (E, nb, 1, nc) to {3k boundary node values} + {weighted-
+    Laplacian moments}, and the moment polynomials p_j (E, d, nc_{k-3}).
 
     Moment functionals: G_j(u) = int_K p_j b Lap(u); the dual interior
     functions satisfy psi_j = -b p_j.  The element inverts the full
@@ -304,36 +265,30 @@ def build_pk_basis(geom: TriGeom, k: int) -> LocalElement:
     """
     if k < 4:
         raise ValueError(f"moment element needs k >= 4, got {k}")
-    pjs = gram_schmidt_pj(geom, k)
-    bub = _cubic_bubble(geom)
-
-    b_alphas = boundary_multi_indices(k)
-    node_bary = np.array(b_alphas, dtype=float) / k
-    node_rows = bernstein_values(k, node_bary)            # (3k, nc)
+    pj = gram_schmidt_pj(verts, k)
+    g, area = triangle_geometry(verts)
+    alphas, n_moments = slot_layout("pk_interp", k)
+    n_nodes = len(alphas)
 
     rule = make_quad_rule(min(2 * k, MAX_QUAD_DEGREE))
     qb = rule.points
-    w = rule.weights * geom.area
-    lap_op = laplacian_operator(k, geom)
-    lap_vals = bernstein_values(k - 2, qb) @ lap_op       # (P, nc)
-    b_vals = bpoly_eval(bub, qb)
+    w = rule.weights * area[:, None]
+    lap_vals = bernstein_values(k - 2, qb) @ laplacian_operator(k, g)      # (E, P, nc)
+    b_vals = bernstein_values(3, qb) @ BUBBLE
     low = bernstein_values(k - 3, qb)
-    moment_rows = np.array([((w * b_vals * (low @ pj.coeffs)) @ lap_vals)
-                            for pj in pjs])               # (d, nc)
+    M = np.empty((len(verts), num_coeffs(k), num_coeffs(k)))
+    M[:, :n_nodes] = bernstein_values(k, np.array(alphas, dtype=float) / k)
+    for j in range(n_moments):
+        pv = (low @ pj[:, j, :, None])[..., 0]                     # one gemv per p_j
+        M[:, n_nodes + j] = ((w * b_vals * pv)[:, None, :] @ lap_vals)[:, 0]
 
-    M = np.vstack([node_rows, moment_rows])
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e14:
+    bad = ~np.isfinite(cond) | (cond > 1e14)
+    if bad.any():
+        e = np.argmax(bad)
         raise ValueError(f"unisolvence failure: functional matrix condition "
-                         f"{cond:.3e} on triangle {geom.vertices.tolist()}")
-    C = np.linalg.inv(M)
-
-    pts = _node_points(b_alphas, k, geom)
-    dofs = [DofDescriptor("node", point=tuple(pts[i]), alpha=b_alphas[i])
-            for i in range(len(b_alphas))]
-    dofs += [DofDescriptor("lap_moment", index=j) for j in range(len(pjs))]
-    return LocalElement(family="pk_interp", degree=k, geoms=[geom], dofs=dofs,
-                        basis=C.T[:, None, :].copy(), moment_basis=pjs, bubble=bub)
+                         f"{cond[e]:.3e} on triangle {verts[e].tolist()}")
+    return np.linalg.inv(M).transpose(0, 2, 1)[:, :, None, :], pj
 
 
 # --- P2 conforming macro element -------------------------------------------
@@ -351,58 +306,41 @@ _P2C_PARTS = (
 )
 
 
-def build_p2c_macro_basis(corners: np.ndarray, center: np.ndarray) -> LocalElement:
-    """Nine-function basis of the constant-Laplacian macro element.
+def build_p2c_macro_basis(corners, center) -> np.ndarray:
+    """Nine-function bases (M, 9, 4, 6) of the constant-Laplacian macro element
+    on squares with corners (M, 4, 2) and centers (M, 2).
 
     DOF order: values at the 4 corners, values at the 4 side midpoints,
     Laplacian value at the center (basis function 9 normalized to
-    Laplacian -1).  Requires an axis-aligned square macro cell.
+    Laplacian -1).  Part p is the triangle (corner p, corner p+1, center).
+    Requires axis-aligned square macro cells.
     """
     corners = np.asarray(corners, dtype=float)
     center = np.asarray(center, dtype=float)
-    sides = [np.linalg.norm(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
-    h = sides[0]
-    diag1 = np.linalg.norm(corners[2] - corners[0])
-    diag2 = np.linalg.norm(corners[3] - corners[1])
+    sides = np.linalg.norm(np.roll(corners, -1, axis=1) - corners, axis=2)
+    h = sides[:, 0]
+    diag1 = np.linalg.norm(corners[:, 2] - corners[:, 0], axis=1)
+    diag2 = np.linalg.norm(corners[:, 3] - corners[:, 1], axis=1)
     tol = 1e-9 * h
-    if (max(abs(s - h) for s in sides) > tol or abs(diag1 - diag2) > tol
-            or abs(diag1 - h * np.sqrt(2.0)) > tol
-            or np.linalg.norm(corners.mean(axis=0) - center) > tol):
+    if np.any((np.abs(sides - h[:, None]).max(axis=1) > tol)
+              | (np.abs(diag1 - diag2) > tol) | (np.abs(diag1 - h * np.sqrt(2.0)) > tol)
+              | (np.linalg.norm(corners.mean(axis=1) - center, axis=1) > tol)):
         raise ValueError("non-square macro cell")
 
-    geoms = [TriGeom.from_vertices([corners[i], corners[(i + 1) % 4], center])
-             for i in range(4)]
-    mids = [0.5 * (corners[i] + corners[(i + 1) % 4]) for i in range(4)]
-
-    # 13 B-net coefficients from the 9 DOFs (corner values u1..u4, side
-    # values u5..u8, Laplacian value L); interior coefficients carry -L*h^2/8.
-    def bnet(u, L):
-        c = np.zeros(13)
-        c[0:4] = u[0:4]
-        for s in range(4):
-            c[4 + s] = 2.0 * u[4 + s] - 0.5 * (u[s] + u[(s + 1) % 4])
-        lh = L * h * h / 8.0
-        c[8] = 0.25 * (u[0] + u[1] + u[2] + u[3]) - lh
-        c[9] = 0.25 * (2 * u[0] + u[1] + u[3]) - lh
-        c[10] = 0.25 * (2 * u[1] + u[2] + u[0]) - lh
-        c[11] = 0.25 * (2 * u[2] + u[3] + u[1]) - lh
-        c[12] = 0.25 * (2 * u[3] + u[0] + u[2]) - lh
-        return c
-
-    basis = np.zeros((9, 4, 6))
-    for i in range(9):
-        u = np.zeros(8)
-        L = 0.0
-        if i < 8:
-            u[i] = 1.0
-        else:
-            L = -1.0
-        c = bnet(u, L)
-        for p, layout in enumerate(_P2C_PARTS):
-            basis[i, p] = c[list(layout)]
-
-    dofs = [DofDescriptor("node", point=tuple(corners[i])) for i in range(4)]
-    dofs += [DofDescriptor("node", point=tuple(mids[i])) for i in range(4)]
-    dofs.append(DofDescriptor("lap_point", point=tuple(center)))
-    return LocalElement(family="p2c_interp", degree=2, geoms=geoms, dofs=dofs,
-                        basis=basis)
+    # 13 B-net coefficients of basis function i from its 9 DOFs (corner
+    # values u1..u4, side values u5..u8, Laplacian value L), all i at once;
+    # interior coefficients carry -L*h^2/8.
+    u = np.eye(9)[:, :8]
+    L = np.zeros(9)
+    L[8] = -1.0
+    lh = L * h[:, None] * h[:, None] / 8.0                          # (M, 9)
+    c = np.zeros((len(h), 9, 13))
+    c[..., 0:4] = u[:, 0:4]
+    for s in range(4):
+        c[..., 4 + s] = 2.0 * u[:, 4 + s] - 0.5 * (u[:, s] + u[:, (s + 1) % 4])
+    c[..., 8] = 0.25 * (u[:, 0] + u[:, 1] + u[:, 2] + u[:, 3]) - lh
+    c[..., 9] = 0.25 * (2 * u[:, 0] + u[:, 1] + u[:, 3]) - lh
+    c[..., 10] = 0.25 * (2 * u[:, 1] + u[:, 2] + u[:, 0]) - lh
+    c[..., 11] = 0.25 * (2 * u[:, 2] + u[:, 3] + u[:, 1]) - lh
+    c[..., 12] = 0.25 * (2 * u[:, 3] + u[:, 0] + u[:, 2]) - lh
+    return np.ascontiguousarray(c[..., np.array(_P2C_PARTS)])

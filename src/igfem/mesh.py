@@ -45,7 +45,6 @@ class Mesh:
     triangles: np.ndarray         # (T, 3) int, positively oriented
     macro_corners: np.ndarray     # (M, 4) int  (SW, SE, NE, NW)
     macro_centers: np.ndarray     # (M,) int
-    macro_side_edges: np.ndarray  # (M, 4) int edge ids of the square sides
     perturbation: float = 0.0
 
     @property
@@ -82,7 +81,7 @@ class Mesh:
     def _freeze(self) -> None:
         for a in (self.vertices, self.vertex_boundary, self.edges,
                   self.edge_tris, self.edge_boundary, self.triangles,
-                  self.macro_corners, self.macro_centers, self.macro_side_edges):
+                  self.macro_corners, self.macro_centers):
             a.setflags(write=False)
 
 
@@ -167,17 +166,10 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     edge_tris = np.array(edge_tris, dtype=int)
     edge_boundary = edge_tris[:, 1] < 0
 
-    macro_side_edges = np.zeros((n * n, 4), dtype=int)
-    for m in range(n * n):
-        sw, se, ne, nw = macro_corners[m]
-        for s, (u, v) in enumerate(((sw, se), (se, ne), (ne, nw), (nw, sw))):
-            key = (u, v) if u < v else (v, u)
-            macro_side_edges[m, s] = edge_index[key]
-
     mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,
                 edges=edges, edge_tris=edge_tris, edge_boundary=edge_boundary,
                 triangles=tris, macro_corners=macro_corners,
-                macro_centers=macro_centers, macro_side_edges=macro_side_edges,
+                macro_centers=macro_centers,
                 perturbation=perturb)
     mesh._freeze()
     return mesh

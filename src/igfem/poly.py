@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "TriGeom",
+    "triangle_geometry",
     "BPoly",
     "QuadRule",
     "multi_indices",
@@ -43,22 +44,13 @@ class TriGeom:
 
     @classmethod
     def from_vertices(cls, verts) -> "TriGeom":
-        verts = np.asarray(verts, dtype=float)
+        verts = np.array(verts, dtype=float)
         if verts.shape != (3, 2):
             raise ValueError(f"expected 3 vertices in 2D, got shape {verts.shape}")
-        v0, v1, v2 = verts
-        det = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v1[1] - v0[1]) * (v2[0] - v0[0])
-        if det <= 0.0:
-            raise ValueError(f"degenerate or negatively oriented triangle (2*area = {det})")
-        # grad lambda_i is the inward normal of the opposite edge over 2*area
-        g = np.empty((3, 2))
-        for i in range(3):
-            a, b = verts[(i + 1) % 3], verts[(i + 2) % 3]
-            g[i] = ((a[1] - b[1]) / det, (b[0] - a[0]) / det)
-        verts = verts.copy()
+        g, area = triangle_geometry(verts)
         verts.setflags(write=False)
         g.setflags(write=False)
-        return cls(vertices=verts, area=0.5 * det, grad_lambda=g)
+        return cls(vertices=verts, area=float(area), grad_lambda=g)
 
     @property
     def barycenter(self) -> np.ndarray:
@@ -92,6 +84,20 @@ class BPoly:
         if self.coeffs.shape != (want,):
             raise ValueError(
                 f"degree {self.degree} needs {want} coefficients, got {self.coeffs.shape}")
+
+
+def triangle_geometry(verts) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric gradients (..., 3, 2) and areas (...) of triangles (..., 3, 2)."""
+    v = np.asarray(verts, dtype=float)
+    d1 = v[..., 1, :] - v[..., 0, :]
+    d2 = v[..., 2, :] - v[..., 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    if np.any(det <= 0.0):
+        raise ValueError(f"degenerate or negatively oriented triangle (2*area = {np.min(det)})")
+    # grad lambda_i is the inward normal of the opposite edge over 2*area
+    a, b = v[..., [1, 2, 0], :], v[..., [2, 0, 1], :]
+    g = np.stack([a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]], axis=-1) / det[..., None, None]
+    return g, 0.5 * det
 
 
 def num_coeffs(k: int) -> int:

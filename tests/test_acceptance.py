@@ -21,7 +21,8 @@ import oracle
 from igfem.analysis import error_norms, FeFunction, interpolate_exact
 from igfem.assembly import assemble_system, build_dof_map, build_space
 from igfem.cli import ExperimentConfig, PROBLEMS, fixed_sci, run_experiment
-from igfem.elements import (BARYCENTER, boundary_multi_indices, build_fs_bubble,
+from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
+                            boundary_multi_indices, build_fs_bubble,
                             build_p2c_macro_basis, build_p3_basis, build_pk_basis,
                             laplacian_operator)
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
@@ -275,10 +276,16 @@ def _perturbed_geoms(n):
     return [TriGeom.from_vertices(mesh.vertices[mesh.triangles[t]]) for t in ids]
 
 
+def _macro_parts(corners, center):
+    """The four parts (corner p, corner p+1, center) of a macro square."""
+    return [TriGeom.from_vertices([corners[p], corners[(p + 1) % 4], center])
+            for p in range(4)]
+
+
 def _theorem1_check(problems):
     mesh = build_crisscross_mesh(2)
-    el = build_p2c_macro_basis(mesh.vertices[mesh.macro_corners[0]],
-                               mesh.vertices[mesh.macro_centers[0]])
+    geoms = _macro_parts(mesh.vertices[mesh.macro_corners[0]],
+                         mesh.vertices[mesh.macro_centers[0]])
     rng = np.random.default_rng(4)
     layouts = ((0, 4, 9, 1, 10, 8), (1, 5, 10, 2, 11, 8),
                (2, 6, 11, 3, 12, 8), (3, 7, 12, 0, 9, 8))
@@ -286,7 +293,7 @@ def _theorem1_check(problems):
         c = rng.normal(size=13)
         c[11] = 2 * c[8] - c[9]
         c[12] = 2 * c[8] - c[10]
-        laps = [bpoly_laplacian(BPoly(2, c[list(lay)], el.geoms[p])).coeffs[0]
+        laps = [bpoly_laplacian(BPoly(2, c[list(lay)], geoms[p])).coeffs[0]
                 for p, lay in enumerate(layouts)]
         if abs(laps[0] - laps[1] + laps[2] - laps[3]) > 1e-11 * max(
                 1.0, max(abs(l) for l in laps)):
@@ -298,10 +305,12 @@ def _unisolvence_checks(problems):
     rng = np.random.default_rng(5)
     # P2C round trip
     mesh = build_crisscross_mesh(2)
-    el = build_p2c_macro_basis(mesh.vertices[mesh.macro_corners[1]],
-                               mesh.vertices[mesh.macro_centers[1]])
+    corners = mesh.vertices[mesh.macro_corners[1]]
+    center = mesh.vertices[mesh.macro_centers[1]]
+    basis = build_p2c_macro_basis(corners[None], center[None])[0]
+    geoms = _macro_parts(corners, center)
     dofs = rng.normal(size=9)
-    parts = [BPoly(2, dofs @ el.basis[:, p, :], el.geoms[p]) for p in range(4)]
+    parts = [BPoly(2, dofs @ basis[:, p, :], geoms[p]) for p in range(4)]
     got = np.zeros(9)
     for s in range(4):
         got[s] = bpoly_eval(parts[s], (1, 0, 0))
@@ -312,13 +321,13 @@ def _unisolvence_checks(problems):
 
     # P3 round trip
     for geom in _random_geoms(rng, 2) + _perturbed_geoms(1):
-        el3 = build_p3_basis(geom)
+        basis3 = build_p3_basis(geom.vertices[None])[0]
         coeffs = rng.normal(size=10)
         f = BPoly(3, coeffs, geom)
         node_bary = np.array(boundary_multi_indices(3), dtype=float) / 3
         dofs3 = np.concatenate([bpoly_eval(f, node_bary),
                                 [-bpoly_eval(bpoly_laplacian(f), BARYCENTER)]])
-        rebuilt = dofs3 @ el3.basis[:, 0, :]
+        rebuilt = dofs3 @ basis3[:, 0, :]
         if np.max(np.abs(rebuilt - coeffs)) > 1e-11:
             problems.append("P3 unisolvence round trip exceeded tolerance")
             break
@@ -326,36 +335,38 @@ def _unisolvence_checks(problems):
     # Pk round trips and dual residuals
     for k in (4, 5, 6):
         for geom in _random_geoms(rng, 2) + _perturbed_geoms(1):
-            el = build_pk_basis(geom, k)
+            basis, pjs = build_pk_basis(geom.vertices[None], k)
+            basis = basis[0]
+            pjs = [BPoly(k - 3, pj, geom) for pj in pjs[0]]
             node_bary = np.array(boundary_multi_indices(k), dtype=float) / k
             rule = make_quad_rule(2 * k)
             w = rule.weights * geom.area
-            bub = el.bubble
+            bub = BPoly(3, BUBBLE, geom)
             bv = bpoly_eval(bub, rule.points)
-            lap_op = laplacian_operator(k, geom)
+            lap_op = laplacian_operator(k, geom.grad_lambda[None])[0]
 
             def functionals(coeffs):
                 nodes = bernstein_values(k, node_bary) @ coeffs
                 lapv = bernstein_values(k - 2, rule.points) @ (lap_op @ coeffs)
                 moms = np.array([w @ (bpoly_eval(pj, rule.points) * bv * lapv)
-                                 for pj in el.moment_basis])
+                                 for pj in pjs])
                 return np.concatenate([nodes, moms])
 
-            eye = np.eye(el.n_basis)
-            for i in range(el.n_basis):
-                if np.max(np.abs(functionals(el.basis[i, 0]) - eye[i])) > 1e-9:
+            eye = np.eye(len(basis))
+            for i in range(len(basis)):
+                if np.max(np.abs(functionals(basis[i, 0]) - eye[i])) > 1e-9:
                     problems.append(f"P{k} dual-basis residual exceeded 1e-9")
                     break
             coeffs = rng.normal(size=num_coeffs(k))
-            rebuilt = functionals(coeffs) @ el.basis[:, 0, :]
+            rebuilt = functionals(coeffs) @ basis[:, 0, :]
             if np.max(np.abs(rebuilt - coeffs)) > 1e-9 * max(
                     1.0, np.max(np.abs(coeffs))):
                 problems.append(f"P{k} unisolvence round trip exceeded 1e-9")
             # psi_j = -b p_j in coefficients
             lat = np.array(multi_indices(k), dtype=float) / k
-            for j, pj in enumerate(el.moment_basis):
+            for j, pj in enumerate(pjs):
                 target = -bpoly_eval(bub, lat) * bpoly_eval(pj, lat)
-                if np.max(np.abs(bpoly_eval(el.function(3 * k + j), lat)
+                if np.max(np.abs(bpoly_eval(BPoly(k, basis[3 * k + j, 0], geom), lat)
                                  - target)) > 1e-9:
                     problems.append(f"P{k} psi_j != -b p_j at 1e-9")
                     break
@@ -364,7 +375,7 @@ def _unisolvence_checks(problems):
 def _bubble_and_quadrature_checks(problems):
     rng = np.random.default_rng(6)
     for geom in _random_geoms(rng, 3):
-        phi0 = build_fs_bubble(geom)
+        phi0 = BPoly(2, build_fs_bubble(geom.vertices[None])[0], geom)
         gp = triangle_gauss_points(geom.vertices)
         vals = [bpoly_eval(phi0, geom.to_barycentric(p)) for p in gp]
         if np.max(np.abs(vals)) > 1e-13:
@@ -413,16 +424,16 @@ def _interior_orthogonality_check(problems):
     x, _ = cg_solve(system.A, system.F, rel_tol=1e-14)
     u_h = FeFunction(space, x, system.interp_coeffs)
     rule = make_quad_rule(12)
-    for eid, el in enumerate(space.elements):
-        geom = el.geoms[0]
+    for eid in range(space.n_elements):
+        basis = space.basis[eid][None, :, 0]
         local = u_h.local_coeffs(eid)
-        vals = el.basis_values(rule.points)
-        grads = el.basis_gradients(rule.points)
+        vals = block_values(basis, 4, rule.points)[0]
+        grads = block_gradients(basis, 4, space.grad_lambda[eid], rule.points)[0]
         uh_grad = np.einsum("n,npd->pd", local, grads)
-        xy = rule.points @ geom.vertices
-        w = rule.weights * geom.area
+        xy = rule.points @ space.verts[eid, 0]
+        w = rule.weights * space.area[eid, 0]
         fv = patch.f(xy[:, 0], xy[:, 1])
-        for j in range(len(el.moment_basis)):
+        for j in range(space.moments.shape[1]):
             slot = 12 + j
             resid = w @ np.sum(uh_grad * grads[slot], axis=1) - w @ (fv * vals[slot])
             if abs(resid) > 1e-9:

@@ -8,9 +8,9 @@ from igfem.analysis import (FeFunction, convergence_orders, error_norms,
 from igfem.assembly import assemble_system, build_space, interior_coefficients, \
     norm_rule_degree
 from igfem.cli import PROBLEMS
-from igfem.elements import laplacian_operator
+from igfem.elements import block_gradients, block_values, laplacian_operator
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
-from igfem.poly import domain_points, make_quad_rule
+from igfem.poly import TriGeom, domain_points, make_quad_rule
 from igfem.solver import cg_solve
 
 SINE = PROBLEMS["sine"]
@@ -27,6 +27,21 @@ class Quadratic:
     @staticmethod
     def grad(x, y):
         return np.stack([2 * x + 2 * y + 1, 2 * x - 2 * y - 3], axis=-1)
+
+
+def element_geom(space, eid, part=0):
+    return TriGeom.from_vertices(space.verts[eid, part])
+
+
+def basis_values(space, eid, bary, part=0):
+    """Values (nb, P) of the basis of element eid on one part."""
+    return block_values(space.basis[eid][None, :, part], space.k, bary)[0]
+
+
+def basis_gradients(space, eid, bary, part=0):
+    """Gradients (nb, P, 2) of the basis of element eid on one part."""
+    return block_gradients(space.basis[eid][None, :, part], space.k,
+                           space.grad_lambda[eid, part][None], bary)[0]
 
 
 def solve(space, problem, tol=1e-13):
@@ -60,8 +75,8 @@ def test_single_triangle_norms_against_symbolic():
     space = build_space(mesh, "pk_lagrange", 2)
     override = []
     target = None
-    for eid, el in enumerate(space.elements):
-        geom = el.geoms[0]
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         pts = domain_points(2, geom)
         vals = Quadratic.u(pts[:, 0], pts[:, 1])
         if np.allclose(geom.vertices, [[0, 0], [1, 0], [0.5, 0.5]]):
@@ -103,10 +118,9 @@ def test_triangle_inequality_sanity(family, k):
 def test_lagrange_interpolant_is_nodal():
     space = build_space(build_crisscross_mesh(2), "pk_lagrange", 3)
     i_h = interpolate_exact(SINE.u, SINE.f, space)
-    for eid, el in enumerate(space.elements):
+    for eid in range(space.n_elements):
         local = i_h.local_coeffs(eid)
-        for loc, dof in enumerate(el.dofs):
-            x, y = dof.point
+        for loc, (x, y) in enumerate(space.node_xy[eid]):
             on_boundary = space.dof_map.dofs[eid, loc] < 0
             expected = 0.0 if on_boundary else SINE.u(x, y)
             assert local[loc] == pytest.approx(expected, abs=1e-13)
@@ -129,12 +143,12 @@ def test_patch_function_interpolates_exactly():
     # locate each point's triangle by brute force and evaluate
     mesh = space.mesh
     for x, y in pts:
-        for eid, el in enumerate(space.elements):
-            geom = el.geoms[0]
+        for eid in range(space.n_elements):
+            geom = element_geom(space, eid)
             lam = geom.to_barycentric((x, y))
             if np.all(lam >= -1e-12):
                 local = i_h.local_coeffs(eid)
-                got = float(local @ el.basis_values(np.array([lam]))[:, 0])
+                got = float(local @ basis_values(space, eid, np.array([lam]))[:, 0])
                 assert got == pytest.approx(PATCH.u(x, y), abs=1e-10)
                 break
 
@@ -148,10 +162,10 @@ def test_nc_interpolant_reproduces_local_trial_functions():
     f = lambda x, y: -4.0 + 0.0 * x
     i_h = interpolate_exact(u, f, space)
     rule_pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]])
-    for eid, el in enumerate(space.elements):
-        geom = el.geoms[0]
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         local = i_h.local_coeffs(eid)
-        got = local @ el.basis_values(rule_pts)
+        got = local @ basis_values(space, eid, rule_pts)
         xy = rule_pts @ geom.vertices
         assert np.allclose(got, u(xy[:, 0], xy[:, 1]), atol=1e-11)
 
@@ -218,11 +232,11 @@ def _reference_error_norms(a, b):
     rule = make_quad_rule(norm_rule_degree(space.k))
     l2_sq = 0.0
     h1_sq = 0.0
-    for eid, element in enumerate(space.elements):
-        for part, geom in enumerate(element.geoms):
-            vals_tab = element.basis_values(rule.points, part)
-            grads_tab = element.basis_gradients(rule.points, part)
-            xy = rule.points @ geom.vertices
+    for eid in range(space.n_elements):
+        for part, area in enumerate(space.area[eid]):
+            vals_tab = basis_values(space, eid, rule.points, part)
+            grads_tab = basis_gradients(space, eid, rule.points, part)
+            xy = rule.points @ space.verts[eid, part]
             side = []
             for obj in (a, b):
                 if isinstance(obj, FeFunction):
@@ -232,7 +246,7 @@ def _reference_error_norms(a, b):
                     side.append((np.asarray(obj.u(xy[:, 0], xy[:, 1]), dtype=float),
                                  np.asarray(obj.grad(xy[:, 0], xy[:, 1]), dtype=float)))
             (va, ga), (vb, gb) = side
-            w = rule.weights * geom.area
+            w = rule.weights * area
             l2_sq += w @ (va - vb) ** 2
             h1_sq += w @ np.sum((ga - gb) ** 2, axis=1)
     return math.sqrt(abs(l2_sq)), math.sqrt(abs(h1_sq))
@@ -243,10 +257,10 @@ def _reference_interpolant(u, f, space):
     a node shared by several elements takes u at the last one's point."""
     dm = space.dof_map
     free = np.zeros(dm.n_free)
-    for eid, element in enumerate(space.elements):
+    for eid in range(space.n_elements):
         for loc in np.flatnonzero(dm.dofs[eid] >= 0):
-            if element.dofs[loc].kind == "node":
-                x, y = element.dofs[loc].point
+            if loc < space.node_xy.shape[1]:    # a node slot
+                x, y = space.node_xy[eid, loc]
                 free[dm.dofs[eid, loc]] = u(x, y)
     return FeFunction(space=space, free=free, interp=interior_coefficients(space, f))
 
@@ -254,16 +268,16 @@ def _reference_interpolant(u, f, space):
 def _reference_nc_interpolant(u, f, space):
     """The p2nc interpolant by a least-squares fit on every triangle."""
     override = []
-    for element in space.elements:
-        geom = element.geoms[0]
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         gp = triangle_gauss_points(geom.vertices)
         bary = np.array([geom.to_barycentric(p) for p in gp])
-        M = element.basis_values(bary)[:6].T          # (6 points, 6 nodal funcs)
+        M = basis_values(space, eid, bary)[:6].T      # (6 points, 6 nodal funcs)
         a, *_ = np.linalg.lstsq(M, u(gp[:, 0], gp[:, 1]), rcond=None)
         bubble = f(*geom.barycenter)
         if space.family == "p2nc_std":
-            lap_op = laplacian_operator(2, geom)
-            bubble += sum(a[i] * (lap_op @ element.basis[i, 0])[0] for i in range(6))
+            lap_op = laplacian_operator(2, geom.grad_lambda[None])[0]
+            bubble += sum(a[i] * (lap_op @ space.basis[eid, i, 0])[0] for i in range(6))
         override.append(np.concatenate([a, [bubble]]))
     return FeFunction(space, np.zeros(space.dof_map.n_free),
                       np.zeros((space.n_elements, 0)), override)

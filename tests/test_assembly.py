@@ -5,9 +5,10 @@ import scipy.sparse as sp
 from igfem.assembly import (assemble_system, build_dof_map, build_space,
                             interior_coefficients, load_rule_degree, resolve_degree,
                             stiffness_rule_degree)
-from igfem.elements import BARYCENTER, laplacian_operator
+from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
+                            laplacian_operator)
 from igfem.mesh import build_crisscross_mesh
-from igfem.poly import (BPoly, bernstein_values, bpoly_eval, bpoly_laplacian,
+from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval, bpoly_laplacian,
                         make_quad_rule)
 from igfem.solver import cg_solve
 from igfem.cli import PROBLEMS
@@ -15,6 +16,10 @@ from igfem.analysis import FeFunction, error_norms
 
 SINE = PROBLEMS["sine"]
 PATCH = PROBLEMS["poly4"]
+
+
+def element_geom(space, eid, part=0):
+    return TriGeom.from_vertices(space.verts[eid, part])
 
 
 def solve(space, problem, tol=1e-13):
@@ -91,7 +96,7 @@ def test_interior_coefficients_zero_f():
     mesh = build_crisscross_mesh(1)
     for family, k in (("p2nc_interp", 2), ("p3_interp", 3), ("pk_interp", 4)):
         space = build_space(mesh, family, k)
-        for eid, el in enumerate(space.elements):
+        for eid in range(space.n_elements):
             c = interior_coefficients(space, lambda x, y: 0.0 * x)[eid]
             assert np.allclose(c, 0.0)
 
@@ -99,7 +104,7 @@ def test_interior_coefficients_zero_f():
 def test_interior_coefficients_p3_constant_f():
     mesh = build_crisscross_mesh(2)
     space = build_space(mesh, "p3_interp")
-    for eid, el in enumerate(space.elements):
+    for eid in range(space.n_elements):
         c = interior_coefficients(space, lambda x, y: 1.0 + 0.0 * x)[eid]
         assert c.shape == (1,)
         assert c[0] == pytest.approx(1.0)
@@ -111,16 +116,16 @@ def test_interior_coefficients_match_moment_functionals_of_u():
     space = build_space(mesh, "pk_interp", 4)
     k = 4
     rule = make_quad_rule(12)
-    for eid, el in enumerate(space.elements):
-        geom = el.geoms[0]
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         c = interior_coefficients(space, PATCH.f)[eid]
         xy = rule.points @ geom.vertices
         w = rule.weights * geom.area
-        bv = bpoly_eval(el.bubble, rule.points)
+        bv = bpoly_eval(BPoly(3, BUBBLE, geom), rule.points)
         # Lap u for u = x(1-x)y(1-y)
         lap_u = -2.0 * (xy[:, 1] * (1 - xy[:, 1]) + xy[:, 0] * (1 - xy[:, 0]))
-        for j, pj in enumerate(el.moment_basis):
-            gj_u = w @ (bpoly_eval(pj, rule.points) * bv * lap_u)
+        for j, pj in enumerate(space.moments[eid]):
+            gj_u = w @ (bpoly_eval(BPoly(k - 3, pj, geom), rule.points) * bv * lap_u)
             assert c[j] == pytest.approx(gj_u, abs=1e-10)
 
 
@@ -197,11 +202,12 @@ def test_elementwise_interior_consistency_p3():
     mesh = build_crisscross_mesh(2)
     space = build_space(mesh, "p3_interp")
     u_h, _, _ = solve(space, SINE)
-    for eid, el in enumerate(space.elements):
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         local = u_h.local_coeffs(eid)
-        func = BPoly(3, local @ el.basis[:, 0, :], el.geoms[0])
+        func = BPoly(3, local @ space.basis[eid, :, 0, :], geom)
         lap = bpoly_eval(bpoly_laplacian(func), BARYCENTER)
-        x0, y0 = el.geoms[0].barycenter
+        x0, y0 = geom.barycenter
         assert lap == pytest.approx(-SINE.f(x0, y0), rel=1e-12, abs=1e-12)
 
 
@@ -210,16 +216,16 @@ def test_elementwise_interior_consistency_moments():
     space = build_space(mesh, "pk_interp", 4)
     u_h, system, _ = solve(space, SINE)
     rule = make_quad_rule(12)
-    for eid, el in enumerate(space.elements):
-        geom = el.geoms[0]
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         local = u_h.local_coeffs(eid)
-        func_coeffs = local @ el.basis[:, 0, :]
-        lap = laplacian_operator(4, geom) @ func_coeffs
+        func_coeffs = local @ space.basis[eid, :, 0, :]
+        lap = laplacian_operator(4, geom.grad_lambda[None])[0] @ func_coeffs
         lapv = bernstein_values(2, rule.points) @ lap
         w = rule.weights * geom.area
-        bv = bpoly_eval(el.bubble, rule.points)
-        for j, pj in enumerate(el.moment_basis):
-            gj = w @ (bpoly_eval(pj, rule.points) * bv * lapv)
+        bv = bpoly_eval(BPoly(3, BUBBLE, geom), rule.points)
+        for j, pj in enumerate(space.moments[eid]):
+            gj = w @ (bpoly_eval(BPoly(1, pj, geom), rule.points) * bv * lapv)
             assert gj == pytest.approx(system.interp_coeffs[eid][j],
                                        rel=1e-12, abs=1e-12)
 
@@ -231,16 +237,16 @@ def test_interior_test_function_orthogonality_on_patch():
     space = build_space(mesh, "pk_interp", 4)
     u_h, _, _ = solve(space, PATCH, tol=1e-14)
     rule = make_quad_rule(12)
-    for eid, el in enumerate(space.elements):
-        geom = el.geoms[0]
+    for eid in range(space.n_elements):
+        geom = element_geom(space, eid)
         local = u_h.local_coeffs(eid)
-        vals = el.basis_values(rule.points)
-        grads = el.basis_gradients(rule.points)
+        vals = basis_values(space, eid, rule.points)
+        grads = basis_gradients(space, eid, rule.points)
         uh_grad = np.einsum("n,npd->pd", local, grads)
         xy = rule.points @ geom.vertices
         w = rule.weights * geom.area
         fv = PATCH.f(xy[:, 0], xy[:, 1])
-        for j in range(len(el.moment_basis)):
+        for j in range(space.moments.shape[1]):
             slot = 12 + j
             lhs = w @ np.sum(uh_grad * grads[slot], axis=1)
             rhs = w @ (fv * vals[slot])
@@ -252,41 +258,52 @@ def test_assemble_needs_f():
         assemble_system(build_crisscross_mesh(1), "p3_interp", 3, None)
 
 
-def _element_interior_coefficients(element, f) -> np.ndarray:
+def basis_values(space, eid, bary, part=0):
+    """Values (nb, P) of the basis of element eid on one part."""
+    return block_values(space.basis[eid][None, :, part], space.k, bary)[0]
+
+
+def basis_gradients(space, eid, bary, part=0):
+    """Gradients (nb, P, 2) of the basis of element eid on one part."""
+    return block_gradients(space.basis[eid][None, :, part], space.k,
+                           space.grad_lambda[eid, part][None], bary)[0]
+
+
+def _element_interior_coefficients(space, eid, f) -> np.ndarray:
     """Interior coefficients of one element, as the element loop computed them."""
-    if element.family == "pk_interp":
-        k = element.degree
-        geom = element.geoms[0]
+    if space.family == "pk_interp":
+        k = space.k
+        geom = element_geom(space, eid)
         rule = make_quad_rule(load_rule_degree(k))
         xy = rule.points @ geom.vertices
         fv = f(xy[:, 0], xy[:, 1])
         w = rule.weights * geom.area
-        bv = bpoly_eval(element.bubble, rule.points)
-        return np.array([-(w * bv * bpoly_eval(pj, rule.points)) @ fv
-                         for pj in element.moment_basis])
-    if element.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
-        x, y = element.dofs[-1].point
+        bv = bpoly_eval(BPoly(3, BUBBLE, geom), rule.points)
+        return np.array([-(w * bv * bpoly_eval(BPoly(k - 3, pj, geom), rule.points)) @ fv
+                         for pj in space.moments[eid]])
+    if space.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
+        x, y = space.lap_xy[eid]
         return np.array([f(x, y)], dtype=float)
     return np.zeros(0)
 
 
 def _element_contribution(space, f, eid: int):
     """(local stiffness, local load, interior coefficients) for one element."""
-    element = space.elements[eid]
     k = space.k
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
     load_rule = make_quad_rule(load_rule_degree(k))
-    nb = element.n_basis
+    nb = space.basis.shape[1]
     S = np.zeros((nb, nb))
     L = np.zeros(nb)
-    for part, geom in enumerate(element.geoms):
-        grads = element.basis_gradients(stiff_rule.points, part)      # (nb, P, 2)
-        S += geom.area * np.einsum("npd,mpd,p->nm", grads, grads, stiff_rule.weights)
-        vals = element.basis_values(load_rule.points, part)           # (nb, P)
-        xy = load_rule.points @ geom.vertices
+    for part in range(space.basis.shape[2]):
+        area = space.area[eid, part]
+        grads = basis_gradients(space, eid, stiff_rule.points, part)   # (nb, P, 2)
+        S += area * np.einsum("npd,mpd,p->nm", grads, grads, stiff_rule.weights)
+        vals = basis_values(space, eid, load_rule.points, part)        # (nb, P)
+        xy = load_rule.points @ space.verts[eid, part]
         fv = f(xy[:, 0], xy[:, 1])
-        L += geom.area * vals @ (load_rule.weights * fv)
-    c = _element_interior_coefficients(element, f)
+        L += area * vals @ (load_rule.weights * fv)
+    c = _element_interior_coefficients(space, eid, f)
     return S, L, c
 
 

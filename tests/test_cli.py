@@ -1,6 +1,10 @@
 import json
 import logging
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,19 +143,28 @@ def test_empty_rows_report_is_valid():
         assert isinstance(payload, str) and payload
 
 
+def without_timings(rows):
+    """Report rows without their wall times, the one field that varies run to run."""
+    return [{key: v for key, v in r.items() if key != "timings"} for r in rows]
+
+
 def test_reports_byte_identical_across_runs():
     cfg1 = ExperimentConfig(family="p2nc_interp", levels=(1, 2))
     cfg2 = ExperimentConfig(family="p2nc_interp", levels=(1, 2))
-    r1 = emit_report(run_experiment(cfg1), "json", None)
-    r2 = emit_report(run_experiment(cfg2), "json", None)
-    assert r1 == r2
+    rep1, rep2 = run_experiment(cfg1), run_experiment(cfg2)
+    for fmt in ("text", "csv"):
+        assert emit_report(rep1, fmt, None) == emit_report(rep2, fmt, None)
+    # JSON rows also carry wall times; everything else is byte-identical
+    r1, r2 = (json.loads(emit_report(rep, "json", None)) for rep in (rep1, rep2))
+    r1["rows"], r2["rows"] = without_timings(r1["rows"]), without_timings(r2["rows"])
+    assert json.dumps(r1, indent=2) == json.dumps(r2, indent=2)
 
 
 def test_compare_does_not_change_primary_rows():
     base = run_experiment(ExperimentConfig(family="p3_interp", levels=(1, 2)))
     both = run_experiment(ExperimentConfig(family="p3_interp", levels=(1, 2),
                                            compare=True))
-    assert base.rows == both.rows
+    assert without_timings(base.rows) == without_timings(both.rows)
 
 
 def test_condition_flag_adds_estimates():
@@ -175,6 +188,16 @@ def test_condition_flag_adds_estimates():
         assert "cg_residual" not in emit_report(rep, fmt, None)
     empty = run_experiment(ExperimentConfig(family="p2c_interp", levels=(1,)))
     assert empty.rows[0]["free_dofs"] == 0 and empty.rows[0]["cg_residual"] == 0.0
+    # JSON rows time every phase of their level, the condition estimate only
+    # where one was made; CSV and text leave the timings out
+    phases = {"mesh", "space", "assemble", "cg", "interpolate", "norms"}
+    for r, want in ((data["rows"][0], phases | {"condition"}),
+                    (json.loads(emit_report(empty, "json", None))["rows"][0], phases)):
+        assert set(r["timings"]) == want
+        assert all(isinstance(v, float) and v >= 0.0 for v in r["timings"].values())
+    for report in (rep, empty):
+        for fmt in ("csv", "text"):
+            assert "timings" not in emit_report(report, fmt, None)
 
 
 def test_main_exit_codes(tmp_path):
@@ -228,3 +251,16 @@ def test_json_report_records_environment(monkeypatch):
     assert ConvergenceReport.from_dict(data) == report
     for fmt in ("csv", "text"):
         assert "OPENBLAS" not in emit_report(report, fmt, None)
+
+
+def test_import_leaves_scipy_solver_modules_unloaded():
+    # scipy.linalg and scipy.sparse.linalg add to the resident memory of
+    # every run; igfem needs neither
+    src = str(Path(igfem.cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, igfem; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
