@@ -234,7 +234,6 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             row["lambda_max"] = est.lambda_max
             row["lambda_min"] = est.lambda_min_nonzero
             row["cond_converged"] = est.converged
-            row["null_dim"] = est.null_dim
         # seconds per phase, for the JSON report; CSV and text leave them out
         row["timings"] = timings
         rows.append(row)

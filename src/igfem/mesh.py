@@ -101,44 +101,30 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     h = 1.0 / n
 
     # corners row-major, then centers row-major
-    corner_id = lambda i, j: j * (n + 1) + i
-    center_id = lambda i, j: (n + 1) ** 2 + j * n + i
-
-    nv = (n + 1) ** 2 + n * n
-    verts = np.zeros((nv, 2))
+    nc = (n + 1) ** 2
+    nv = nc + n * n
+    cj, ci = np.divmod(np.arange(nc), n + 1)
+    mj, mi = np.divmod(np.arange(n * n), n)
+    verts = np.concatenate([np.stack([ci * h, cj * h], axis=1),
+                            np.stack([(mi + 0.5) * h, (mj + 0.5) * h], axis=1)])
     vbnd = np.zeros(nv, dtype=bool)
-    for j in range(n + 1):
-        for i in range(n + 1):
-            verts[corner_id(i, j)] = (i * h, j * h)
-            vbnd[corner_id(i, j)] = i == 0 or i == n or j == 0 or j == n
-    for j in range(n):
-        for i in range(n):
-            verts[center_id(i, j)] = ((i + 0.5) * h, (j + 0.5) * h)
+    vbnd[:nc] = (ci == 0) | (ci == n) | (cj == 0) | (cj == n)
 
     if perturb > 0.0:
         # str hashes change from process to process (PEP 456); crc32 does not
         seed = zlib.crc32(f"crisscross {level} {round(perturb, 12)!r}".encode())
         rng = np.random.default_rng(seed)
         interior = ~vbnd
-        interior[(n + 1) ** 2:] = False  # centers stay put
+        interior[nc:] = False  # centers stay put
         shift = rng.uniform(-1.0, 1.0, size=(nv, 2)) * (perturb * h)
         verts[interior] += shift[interior]
 
-    tris = []
-    macro_corners = np.zeros((n * n, 4), dtype=int)
-    macro_centers = np.zeros(n * n, dtype=int)
-    for j in range(n):
-        for i in range(n):
-            m = j * n + i
-            sw, se = corner_id(i, j), corner_id(i + 1, j)
-            ne, nw = corner_id(i + 1, j + 1), corner_id(i, j + 1)
-            c = center_id(i, j)
-            macro_corners[m] = (sw, se, ne, nw)
-            macro_centers[m] = c
-            # cyclic: bottom, right, top, left; center last in each triangle
-            for a, b in ((sw, se), (se, ne), (ne, nw), (nw, sw)):
-                tris.append((a, b, c))
-    tris = np.array(tris, dtype=int)
+    sw = mj * (n + 1) + mi
+    macro_corners = np.stack([sw, sw + 1, sw + n + 2, sw + n + 1], axis=1)
+    macro_centers = nc + np.arange(n * n)
+    # cyclic: bottom, right, top, left; center last in each triangle
+    tris = np.stack([macro_corners, np.roll(macro_corners, -1, axis=1),
+                     np.repeat(macro_centers[:, None], 4, axis=1)], axis=2).reshape(-1, 3)
 
     # orientation check (also guards perturbation flips)
     v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
@@ -147,23 +133,17 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     if np.any(signed <= 0.0):
         raise ValueError("perturbation produced a non-positive triangle area")
 
-    # edges from triangles, deterministic order
-    edge_index: dict[tuple, int] = {}
-    edge_list: list[tuple] = []
-    edge_tris: list[list[int]] = []
-    for t, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append(key)
-                edge_tris.append([t, -1])
-            else:
-                edge_tris[e][1] = t
-    edges = np.array(edge_list, dtype=int)
-    edge_tris = np.array(edge_tris, dtype=int)
+    # edges (a, b), (b, c), (c, a) of each triangle in turn, numbered by first
+    # appearance; an interior edge appears twice, in its two triangles
+    pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    codes = pairs[:, 0] * nv + pairs[:, 1]
+    _, first = np.unique(codes, return_index=True)
+    _, last = np.unique(codes[::-1], return_index=True)
+    last = len(codes) - 1 - last
+    order = np.argsort(first)
+    first, last = first[order], last[order]
+    edges = pairs[first]
+    edge_tris = np.stack([first // 3, np.where(last > first, last // 3, -1)], axis=1)
     edge_boundary = edge_tris[:, 1] < 0
 
     mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,

@@ -42,7 +42,7 @@ def test_text_report_with_unconverged_estimate():
            "l2_ih": 1e-3, "h1_ih": 1e-2, "l2_true": 1e-3, "h1_true": 1e-2,
            "order_l2": None, "order_h1": None, "cg_iters": 5,
            "cond_est": float("nan"), "lambda_max": 2.5, "lambda_min": float("nan"),
-           "cond_converged": False, "null_dim": 1}
+           "cond_converged": False}
     text = emit_report(ConvergenceReport(config=cfg, rows=[row]), "text", None)
     assert "level 2: 0.250E+01 /       NaN /       NaN" in text
 
@@ -174,13 +174,13 @@ def test_condition_flag_adds_estimates():
     assert "cond_est" in row and row["cond_est"] > 1.0
     assert row["lambda_max"] > row["lambda_min"] > 0.0
     assert row["cond_converged"] is True
-    assert row["null_dim"] == 0
+    # lambda_min is the smallest eigenvalue; no null space is split off
+    for fmt in ("json", "csv", "text"):
+        assert "null_dim" not in emit_report(rep, fmt, None)
     # the JSON report carries the estimate's status; CSV and text do not
     data = json.loads(emit_report(rep, "json", None))
     assert data["rows"][0]["cond_converged"] is True
-    assert data["rows"][0]["null_dim"] == 0
     assert "cond_converged" not in emit_report(rep, "csv", None)
-    assert "null_dim" not in emit_report(rep, "text", None)
     # so does the CG residual, which is 0.0 where there is nothing to solve
     assert 0.0 < row["cg_residual"] <= 1e-13
     assert data["rows"][0]["cg_residual"] == row["cg_residual"]

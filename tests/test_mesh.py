@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,73 @@ def test_edge_id_inverts_edge_table():
     assert m.edge_id(*m.edges[7][::-1]) == 7
     with pytest.raises(KeyError):
         m.edge_id(0, m.num_vertices - 1)   # a corner and a far center
+
+
+def _loop_mesh_arrays(level, perturb):
+    """The loop-and-dict mesh builder the array form replaced, as a reference."""
+    n = 2 ** (level - 1)
+    h = 1.0 / n
+    corner_id = lambda i, j: j * (n + 1) + i
+    center_id = lambda i, j: (n + 1) ** 2 + j * n + i
+    nv = (n + 1) ** 2 + n * n
+    verts = np.zeros((nv, 2))
+    vbnd = np.zeros(nv, dtype=bool)
+    for j in range(n + 1):
+        for i in range(n + 1):
+            verts[corner_id(i, j)] = (i * h, j * h)
+            vbnd[corner_id(i, j)] = i == 0 or i == n or j == 0 or j == n
+    for j in range(n):
+        for i in range(n):
+            verts[center_id(i, j)] = ((i + 0.5) * h, (j + 0.5) * h)
+    if perturb > 0.0:
+        seed = zlib.crc32(f"crisscross {level} {round(perturb, 12)!r}".encode())
+        rng = np.random.default_rng(seed)
+        interior = ~vbnd
+        interior[(n + 1) ** 2:] = False
+        shift = rng.uniform(-1.0, 1.0, size=(nv, 2)) * (perturb * h)
+        verts[interior] += shift[interior]
+    tris = []
+    macro_corners = np.zeros((n * n, 4), dtype=int)
+    macro_centers = np.zeros(n * n, dtype=int)
+    for j in range(n):
+        for i in range(n):
+            m = j * n + i
+            sw, se = corner_id(i, j), corner_id(i + 1, j)
+            ne, nw = corner_id(i + 1, j + 1), corner_id(i, j + 1)
+            c = center_id(i, j)
+            macro_corners[m] = (sw, se, ne, nw)
+            macro_centers[m] = c
+            for a, b in ((sw, se), (se, ne), (ne, nw), (nw, sw)):
+                tris.append((a, b, c))
+    tris = np.array(tris, dtype=int)
+    edge_index, edge_list, edge_tris = {}, [], []
+    for t, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            e = edge_index.get(key)
+            if e is None:
+                e = len(edge_list)
+                edge_index[key] = e
+                edge_list.append(key)
+                edge_tris.append([t, -1])
+            else:
+                edge_tris[e][1] = t
+    edge_tris = np.array(edge_tris, dtype=int)
+    return {"vertices": verts, "vertex_boundary": vbnd,
+            "edges": np.array(edge_list, dtype=int), "edge_tris": edge_tris,
+            "edge_boundary": edge_tris[:, 1] < 0, "triangles": tris,
+            "macro_corners": macro_corners, "macro_centers": macro_centers}
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 6])
+def test_mesh_bit_identical_to_loop_builder(level, perturb):
+    # edge ids fix the DOF numbering, and with it A and cg_iters
+    m = build_crisscross_mesh(level, perturb=perturb)
+    for name, ref in _loop_mesh_arrays(level, perturb).items():
+        got = getattr(m, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
 
 
 def test_level_and_perturb_validation():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from igfem.assembly import assemble_system
+from igfem.cli import PROBLEMS
+from igfem.mesh import build_crisscross_mesh
 from igfem.solver import SolverError, cg_solve, estimate_condition
 
 
@@ -130,10 +133,51 @@ def test_condition_skips_null_space():
     w = np.concatenate([[0.0], np.geomspace(0.5, 50.0, n - 1)])
     A = sp.csr_array(q @ np.diag(w) @ q.T)
     est = estimate_condition(A)
-    # the zero eigenvalue must not be reported as lambda_min; it is either
-    # never entered (range-space iteration) or explicitly deflated
+    # the zero eigenvalue must not be reported as lambda_min: the iteration
+    # starts in range(A), and unpreconditioned CG keeps its iterates there
     assert est.lambda_min_nonzero == pytest.approx(0.5, rel=0.02)
     assert est.null_dim <= 1
+
+
+def _sine_matrix(family, k, level):
+    return assemble_system(build_crisscross_mesh(level), family, k,
+                           PROBLEMS["sine"].f).A
+
+
+def test_condition_nearly_singular_p2nc_std():
+    # no eigenvalue of the standard nonconforming baseline is zero, but the
+    # smallest one falls by about 60x per level (8.0e-9 at level 4)
+    A = _sine_matrix("p2nc_std", None, 4)
+    est = estimate_condition(A)
+    ew = np.linalg.eigvalsh(A.toarray())
+    assert est.converged
+    assert est.lambda_min_nonzero == pytest.approx(ew[0], rel=0.02)
+    assert est.lambda_max == pytest.approx(ew[-1], rel=0.02)
+    # dense eigvalsh gives kappa = 8.38e10 at level 5
+    est = estimate_condition(_sine_matrix("p2nc_std", None, 5))
+    assert est.converged
+    assert 5e10 < est.condition < 2e11
+
+
+def test_interpolated_family_better_conditioned():
+    # the abstract's claim: interpolating the interior values gives a better
+    # condition number than the Lagrange element of the same degree
+    pairs = [(("p2c_interp", None), ("pk_lagrange", 2)),
+             (("p3_interp", None), ("pk_lagrange", 3)),
+             (("pk_interp", 4), ("pk_lagrange", 4)),
+             (("pk_interp", 5), ("pk_lagrange", 5))]
+    for interp, lagrange in pairs:
+        kappa = []
+        for family, k in (interp, lagrange):
+            A = _sine_matrix(family, k, 2)
+            est = estimate_condition(A)
+            ew = np.linalg.eigvalsh(A.toarray())
+            assert est.converged, (family, k)
+            assert est.lambda_max == pytest.approx(ew[-1], rel=0.02), (family, k)
+            assert est.lambda_min_nonzero == pytest.approx(ew[0], rel=0.02), (family, k)
+            assert est.condition == pytest.approx(ew[-1] / ew[0], rel=0.02), (family, k)
+            kappa.append(est.condition)
+        assert kappa[0] < kappa[1], (interp, lagrange, kappa)
 
 
 def test_csr_from_coo_sums_duplicates():
