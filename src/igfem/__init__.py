@@ -17,7 +17,14 @@ from .solver import ConditionEstimate, SolveStats, SolverError, cg_solve, \
     estimate_condition
 from .analysis import ErrorRecord, FeFunction, convergence_orders, error_norms, \
     interpolate_exact
-from .cli import ConvergenceReport, ExperimentConfig, PROBLEMS, Problem, \
-    emit_report, run_experiment
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # igfem.cli is imported on first use, so `python -m igfem.cli` does not find it imported
+    if name in ("ConvergenceReport", "ExperimentConfig", "PROBLEMS", "Problem",
+                "emit_report", "run_experiment"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

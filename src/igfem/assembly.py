@@ -186,8 +186,14 @@ class Space:
         return len(self.basis)
 
 
-# elements per block of the element passes; larger blocks raise peak memory
-BLOCK = 8
+BLOCK_BYTES = 256 * 1024   # per block's gradient table; larger blocks raise peak memory
+
+
+def block_size(k: int, nb: int, parts: int) -> int:
+    """Elements per block of every element pass: as many gradient tables (nb, parts,
+    P, 2) at the norm rule, the passes' largest, as fit in BLOCK_BYTES, and at least 8."""
+    P = len(make_quad_rule(norm_rule_degree(k)).weights)
+    return max(8, BLOCK_BYTES // (nb * parts * P * 16))
 
 
 def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
@@ -206,8 +212,9 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
         if family == "pk_interp":
             basis = np.empty((len(corners), num_coeffs(k), 1, num_coeffs(k)))
             moments = np.empty((len(corners), num_coeffs(k - 3), num_coeffs(k - 3)))
-            for start in range(0, len(corners), BLOCK):
-                s = slice(start, start + BLOCK)
+            step = block_size(k, num_coeffs(k), 1)
+            for start in range(0, len(corners), step):
+                s = slice(start, start + step)
                 basis[s], moments[s] = el.build_pk_basis(corners[s], k)
         elif family == "pk_lagrange":
             basis = el.build_lagrange_basis(corners, k)
@@ -228,8 +235,9 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
 def element_blocks(space: Space):
     """Blocks of consecutive elements as (slice, basis (B, nb, parts, nc),
     vertices (B, parts, 3, 2), grad_lambda (B, parts, 3, 2), area (B, parts))."""
-    for start in range(0, space.n_elements, BLOCK):
-        s = slice(start, start + BLOCK)
+    step = block_size(space.k, *space.basis.shape[1:3])      # nb, parts
+    for start in range(0, space.n_elements, step):
+        s = slice(start, start + step)
         yield s, space.basis[s], space.verts[s], space.grad_lambda[s], space.area[s]
 
 

@@ -81,7 +81,9 @@ def block_gradients(coeffs, k: int, grad_lambda, bary) -> np.ndarray:
     for i in range(3):
         gcoef += by_coeff[maps[i], :, :, None] * grad_lambda[None, :, None, i]
     table = np.einsum("pc,cx->px", bernstein_values(k - 1, bary), gcoef.reshape(nc, -1))
-    return k * np.ascontiguousarray(table.reshape(-1, B, nb, 2).transpose(1, 2, 0, 3))
+    out = np.ascontiguousarray(table.reshape(-1, B, nb, 2).transpose(1, 2, 0, 3))
+    out *= k
+    return out
 
 
 def boundary_multi_indices(k: int) -> tuple[tuple[int, int, int], ...]:

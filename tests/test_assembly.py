@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igfem.assembly import (assemble_system, build_dof_map, build_space,
-                            interior_coefficients, load_rule_degree, resolve_degree,
-                            stiffness_rule_degree)
+import igfem.assembly
+from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
+                            build_dof_map, build_space, element_blocks,
+                            interior_coefficients, load_rule_degree, norm_rule_degree,
+                            resolve_degree, stiffness_rule_degree)
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             laplacian_operator)
 from igfem.mesh import build_crisscross_mesh
 from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval, bpoly_laplacian,
-                        make_quad_rule)
+                        make_quad_rule, num_coeffs)
 from igfem.solver import cg_solve
 from igfem.cli import PROBLEMS
-from igfem.analysis import FeFunction, error_norms
+from igfem.analysis import FeFunction, error_norms, interpolate_exact
 
 SINE = PROBLEMS["sine"]
 PATCH = PROBLEMS["poly4"]
@@ -354,3 +356,58 @@ def test_assembly_bit_identical_to_element_loop(family, k, level, perturb):
     assert np.array_equal(system.F, F)
     assert np.array_equal(system.interp_coeffs, c)
     assert system.A.nnz == distinct and system.A.has_canonical_format
+
+
+# --- block size: one byte rule for every element pass --------------------------
+
+def test_block_size_rule():
+    assert block_size(8, num_coeffs(8), 1) == 8
+    for family in FAMILIES:
+        for k in ([None] if family in ("p2c_interp", "p2nc_interp", "p2nc_std", "p3_interp")
+                  else range(4 if family == "pk_interp" else 1, 9)):
+            space = build_space(build_crisscross_mesh(1), family, k)
+            _, nb, parts, _ = space.basis.shape
+            table = nb * parts * len(make_quad_rule(norm_rule_degree(space.k)).weights) * 16
+            B = block_size(space.k, nb, parts)
+            assert B >= 8
+            if B > 8:   # as many gradient tables as fit in the budget
+                assert B * table <= BLOCK_BYTES < (B + 1) * table
+            if family.startswith("p2nc"):
+                assert B > 8
+    assert block_size(2, 7, 1) == 66 and block_size(3, 10, 1) == 29
+    assert block_size(2, 9, 4) == 13
+
+
+def _element_pass_outputs(family, k, level, perturb):
+    """Every array the element passes make on one mesh, and the error norms."""
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
+    system = assemble_system(space, f=SINE.f)
+    i_h = interpolate_exact(SINE.u, SINE.f, space)
+    u = FeFunction(space, np.random.default_rng(level).normal(size=space.dof_map.n_free),
+                   system.interp_coeffs)
+    arrays = [space.basis, system.A.indptr, system.A.indices, system.A.data, system.F,
+              system.interp_coeffs, interior_coefficients(space, SINE.f),
+              i_h.free, i_h.interp]
+    arrays += [x for x in (space.moments, i_h.override) if x is not None]
+    blocks = [len(basis) for _, basis, *_ in element_blocks(space)]
+    return arrays, error_norms(i_h, SINE, u), blocks
+
+
+_BLOCK_CASES = [("p2nc_interp", None, 5, 0.0), ("p2nc_std", None, 5, 0.0),
+                ("p3_interp", None, 4, 0.0), ("p2c_interp", None, 4, 0.0),
+                ("pk_lagrange", 1, 5, 0.0), ("pk_interp", 4, 3, 0.2)]
+
+
+@pytest.mark.parametrize("family,k,level,perturb", _BLOCK_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in _BLOCK_CASES])
+def test_block_size_leaves_bits_unchanged(monkeypatch, family, k, level, perturb):
+    arrays, norms, blocks = _element_pass_outputs(family, k, level, perturb)
+    # several full blocks and a partial last one
+    assert len(blocks) > 2 and blocks[0] > 8 and 0 < blocks[-1] < blocks[0]
+    monkeypatch.setattr(igfem.assembly, "BLOCK_BYTES", 0)   # blocks of 8
+    ref_arrays, ref_norms, ref_blocks = _element_pass_outputs(family, k, level, perturb)
+    assert set(ref_blocks[:-1]) == {8}
+    assert len(arrays) == len(ref_arrays)
+    for got, ref in zip(arrays, ref_arrays):
+        assert np.array_equal(got, ref)
+    assert norms == ref_norms

@@ -253,14 +253,34 @@ def test_json_report_records_environment(monkeypatch):
         assert "OPENBLAS" not in emit_report(report, fmt, None)
 
 
+def _src_env():
+    """The environment with igfem's source directory on PYTHONPATH."""
+    src = str(Path(igfem.cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_leaves_scipy_solver_modules_unloaded():
     # scipy.linalg and scipy.sparse.linalg add to the resident memory of
     # every run; igfem needs neither
-    src = str(Path(igfem.cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, igfem; print(sorted(m for m in sys.modules "
             "if m in ('scipy.linalg', 'scipy.sparse.linalg')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_run_warns_nothing():
+    # runpy warns when the package imports igfem.cli before it runs as __main__
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "igfem.cli",
+                          "--family", "p2c_interp", "--levels", "1..1"],
+                         env=_src_env(), capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    assert "P2 interpolated conforming" in out.stdout
+
+
+def test_package_reexports_cli_names():
+    import igfem
+    assert igfem.PROBLEMS is PROBLEMS and igfem.run_experiment is run_experiment
+    with pytest.raises(AttributeError):
+        igfem.no_such_name

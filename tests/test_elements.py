@@ -3,7 +3,7 @@ import pytest
 
 from math import factorial
 
-from igfem.assembly import (build_space, load_rule_degree, norm_rule_degree,
+from igfem.assembly import (block_size, build_space, load_rule_degree, norm_rule_degree,
                             stiffness_rule_degree)
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             boundary_multi_indices, build_fs_bubble,
@@ -494,7 +494,8 @@ def test_block_tabulation_bit_identical_to_reference(k):
     nc = num_coeffs(k)
     for degree in _rule_degrees(k):
         bary = make_quad_rule(degree).points
-        for B in (1, 7, 8, 64):
+        # the largest block the element passes give degree k: nb = nc, one part
+        for B in (1, 7, 8, 64, block_size(k, nc, 1)):
             coeffs = rng.normal(size=(B, nc, nc))
             grad_lambda = rng.normal(size=(B, 3, 2))
             got = block_gradients(coeffs, k, grad_lambda, bary)
