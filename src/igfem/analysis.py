@@ -5,8 +5,7 @@ boundary-type nodes and takes the same f-derived interior coefficients as
 the discrete solution, so e_h has no interior component for the
 interpolated families.  The nonconforming interpolant fits the six edge
 Gauss-point values per triangle in the least-squares sense (the 6x6 system
-has rank 5, and one pseudo-inverse serves every triangle) and therefore
-lives element-by-element rather than in the global coefficient vector.
+has rank 5, and one pseudo-inverse serves every triangle).
 """
 
 from __future__ import annotations
@@ -38,47 +37,22 @@ _NC_FIT = np.linalg.pinv(
 
 @dataclass
 class FeFunction:
-    """Finite element function: free + interpolated coefficients on a Space.
-
-    `interp` holds the interpolated coefficients, one row per element.
-    `override` may replace the local coefficients of every element (one row
-    per element) for broken interpolants that do not share nodal values
-    across elements.
-    """
+    """Finite element function on a Space: the local coefficients of every
+    element, `coeffs[e, m]` for local slot m of element e, (E, nb)."""
 
     space: Space
-    free: np.ndarray
-    interp: np.ndarray               # (E, n_interp per element)
-    override: np.ndarray | None = None   # (E, nb)
-
-    def __post_init__(self):
-        self.interp = np.asarray(self.interp, dtype=float)
-        if self.override is not None:
-            self.override = np.asarray(self.override, dtype=float)
+    coeffs: np.ndarray
 
     @classmethod
-    def zero(cls, space: Space) -> "FeFunction":
+    def from_dofs(cls, space: Space, free: np.ndarray, interior: np.ndarray) -> "FeFunction":
+        """Scatter free DOF values and the interpolated interior coefficients
+        (E, n_interp per element) into the coefficient table; Dirichlet slots are 0."""
         dm = space.dof_map
-        return cls(space=space, free=np.zeros(dm.n_free),
-                   interp=np.zeros((dm.n_elements, int(dm.interp_mask.sum()))))
-
-    def coeff_table(self) -> np.ndarray:
-        """Local coefficients of every element, (E, nb)."""
-        if self.override is not None:
-            return self.override
-        dm = self.space.dof_map
-        free = dm.dofs >= 0
-        out = np.zeros(dm.dofs.shape)
-        out[free] = self.free[dm.dofs[free]]
-        out[:, dm.interp_mask] = self.interp
-        return out
-
-    def local_coeffs(self, eid: int) -> np.ndarray:
-        return self.coeff_table()[eid]
-
-    def scaled(self, s: float) -> "FeFunction":
-        override = None if self.override is None else s * self.override
-        return FeFunction(self.space, s * self.free, s * self.interp, override)
+        mask = dm.dofs >= 0
+        coeffs = np.zeros(dm.dofs.shape)
+        coeffs[mask] = free[dm.dofs[mask]]
+        coeffs[:, dm.interp_mask] = interior
+        return cls(space, coeffs)
 
 
 def interpolate_exact(u, f, space: Space) -> FeFunction:
@@ -88,12 +62,10 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
     f-derived values as the assembled solution.  Lagrange elements use the
     full nodal interpolant.
     """
-    dm = space.dof_map
     if space.family in ("p2nc_interp", "p2nc_std"):
         gp = triangle_gauss_points(space.verts[:, 0])                # (E, 6, 2)
         a = u(gp[..., 0], gp[..., 1]) @ _NC_FIT.T
         bubble = f(*space.lap_xy.T)
-        interp = bubble[:, None]
         if space.family == "p2nc_std":
             # same function in the plain-nodal basis: the bubble picks up the
             # nodal functions' Laplacian content; the Bernstein quadratic of
@@ -102,16 +74,15 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
             i, j = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]).T
             lap = np.where(i == j, 2.0, 4.0) * np.sum(g[:, i] * g[:, j], axis=2)
             bubble = np.sum(a * (lap @ _collocation_inverse(2)), axis=1) + bubble
-            interp = interp[:, :0]
-        return FeFunction(space, np.zeros(dm.n_free), interp, np.column_stack([a, bubble]))
+        return FeFunction(space, np.column_stack([a, bubble]))
 
     # u once per free node; a node shared by several elements takes its
     # point from the last of them, whose coordinates may differ in the last bit
+    dm = space.dof_map
     g = dm.dofs[:, :space.node_xy.shape[1]].ravel()
     keys, first_rev = np.unique(g[::-1], return_index=True)
     xy = space.node_xy.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
-    return FeFunction(space=space, free=u(xy[:, 0], xy[:, 1]),
-                      interp=interior_coefficients(space, f))
+    return FeFunction.from_dofs(space, u(xy[:, 0], xy[:, 1]), interior_coefficients(space, f))
 
 
 def _block_eval(side, coeffs, vals, grads, xy):
@@ -122,7 +93,7 @@ def _block_eval(side, coeffs, vals, grads, xy):
     return (coeffs[:, None, :] @ vals)[:, 0], np.einsum("bn,bnpd->bpd", coeffs, grads)
 
 
-def error_norms(a, *bs, quad_degree: int | None = None) -> tuple[float, ...]:
+def error_norms(a, *bs) -> tuple[float, ...]:
     """(L2 norm, broken H1 seminorm) of a - b by elementwise quadrature, as
     one flat tuple (l2_1, h1_1, l2_2, h1_2, ...) with a pair per b in bs.
 
@@ -141,9 +112,8 @@ def error_norms(a, *bs, quad_degree: int | None = None) -> tuple[float, ...]:
     if any(fe.space is not space for fe in fes[1:]):
         raise ValueError("FeFunctions live on different meshes/spaces")
 
-    rule = make_quad_rule(quad_degree if quad_degree is not None
-                          else norm_rule_degree(space.k))
-    tables = [x.coeff_table() if isinstance(x, FeFunction) else None for x in sides]
+    rule = make_quad_rule(norm_rule_degree(space.k))
+    tables = [x.coeffs if isinstance(x, FeFunction) else None for x in sides]
     # L2 and H1 terms of every pair, per (element, part)
     sq = np.zeros((len(bs), 2) + space.area.shape)
     for s, basis, verts, grad_lambda, area in element_blocks(space):

@@ -82,10 +82,7 @@ class DofMap:
     element (`interp_mask`); their coefficients come from f.
     """
 
-    family: str
-    k: int
     n_free: int
-    n_boundary: int
     dofs: np.ndarray         # (E, nb) int
     interp_mask: np.ndarray  # (nb,) bool
 
@@ -155,9 +152,7 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     keys, index = np.unique(code[free], return_inverse=True)
     dofs = np.full(code.shape, -1, dtype=np.int64)
     dofs[free] = index
-    return DofMap(family=family, k=k, n_free=len(keys),
-                  n_boundary=len(np.unique(code[boundary])),
-                  dofs=dofs, interp_mask=interp_mask)
+    return DofMap(n_free=len(keys), dofs=dofs, interp_mask=interp_mask)
 
 
 @dataclass
@@ -274,23 +269,14 @@ class SparseSystem:
     A: sp.csr_array
     F: np.ndarray
     interp_coeffs: np.ndarray    # (E, n_interp per element); zero columns for baselines
-    space: Space
 
 
-def assemble_system(mesh_or_space, family: str | None = None, k: int | None = None,
-                    f=None) -> SparseSystem:
-    """Assemble the reduced system for right-hand side f.
+def assemble_system(space: Space, f) -> SparseSystem:
+    """Assemble the reduced system on a Space for right-hand side f(x, y).
 
-    Accepts either a Mesh (family/k required) or a prebuilt Space.
     Stiffness uses elementwise (broken) gradients; the known interpolated
     interior part is moved to the right-hand side.
     """
-    if isinstance(mesh_or_space, Space):
-        space = mesh_or_space
-    else:
-        space = build_space(mesh_or_space, family, k)
-    if f is None:
-        raise ValueError("assemble_system needs a right-hand side f(x, y)")
     dm = space.dof_map
     k = space.k
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
@@ -324,4 +310,4 @@ def assemble_system(mesh_or_space, family: str | None = None, k: int | None = No
     F = np.zeros(dm.n_free)
     np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
               terms[free].ravel())
-    return SparseSystem(A=A, F=F, interp_coeffs=c, space=space)
+    return SparseSystem(A=A, F=F, interp_coeffs=c)

@@ -103,7 +103,6 @@ class ExperimentConfig:
     levels: tuple = (2, 3, 4)
     problem: str = "sine"
     tol: float = 1e-13
-    output_format: str = "text"
     compare: bool = False
     condition: bool = False
 
@@ -119,8 +118,6 @@ class ExperimentConfig:
             raise ValueError("levels must be strictly increasing")
         if lv[0] < 1 or lv[-1] > MAX_LEVEL:
             raise ValueError(f"levels must lie in 1..{MAX_LEVEL}, got {lv}")
-        if self.output_format not in ("text", "csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
         if not (0 < self.tol < 1e-2):
             raise ValueError(f"tol must be in (0, 1e-2), got {self.tol}")
         if self.compare and self.family not in _BASELINE:
@@ -205,7 +202,7 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
         with _timed(timings, "space"):
             space = build_space(mesh, family, k)
         with _timed(timings, "assemble"):
-            system = assemble_system(space, f=problem.f)
+            system = assemble_system(space, problem.f)
         dm = space.dof_map
         x, iters, residual = np.zeros(0), 0, 0.0
         try:
@@ -218,7 +215,7 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             logging.getLogger(__name__).warning(
                 "solver failure: %s level %s: %s", family, level, err)
             continue
-        u_h = FeFunction(space=space, free=x, interp=system.interp_coeffs)
+        u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
         with _timed(timings, "interpolate"):
             i_h = interpolate_exact(problem.u, problem.f, space)
         with _timed(timings, "norms"):
@@ -356,18 +353,18 @@ def _csv_report(report: ConvergenceReport) -> str:
     return out.getvalue()
 
 
-def emit_report(report: ConvergenceReport, output_format: str | None = None,
+def emit_report(report: ConvergenceReport, output_format: str,
                 destination=None) -> str:
-    """Render the report and write it to `destination` (path, file, or None)."""
-    fmt = output_format or report.config.output_format
-    if fmt == "text":
+    """Render the report as text, csv or json and write it to `destination`
+    (path, file, or None)."""
+    if output_format == "text":
         payload = _text_report(report)
-    elif fmt == "csv":
+    elif output_format == "csv":
         payload = _csv_report(report)
-    elif fmt == "json":
+    elif output_format == "json":
         payload = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {output_format!r}")
     if destination is None:
         return payload
     if hasattr(destination, "write"):
@@ -417,8 +414,7 @@ def main(argv=None) -> int:
         levels = _parse_levels(args.levels)
         config = ExperimentConfig(
             family=args.family, degree=args.degree, levels=levels,
-            problem=args.problem, tol=args.tol,
-            output_format=args.output_format, compare=args.compare,
+            problem=args.problem, tol=args.tol, compare=args.compare,
             condition=args.condition)
         config.validate()
     except (ValueError, TypeError) as exc:

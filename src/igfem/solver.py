@@ -8,7 +8,6 @@ at level 5), which plain inverse iteration resolves.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
 class SolveStats:
     iterations: int
     relative_residual: float
-    wall_time: float
 
 
 class SolverError(RuntimeError):
@@ -48,17 +46,16 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     Stops when ||A x - F|| <= rel_tol * ||F||.  Raises SolverError when
     max_iter (default 20 n) is exhausted first.
     """
-    t0 = time.perf_counter()
     n = A.shape[0]
     F = np.asarray(F, dtype=float)
     if n == 0:
-        return np.zeros(0), SolveStats(0, 0.0, time.perf_counter() - t0)
+        return np.zeros(0), SolveStats(0, 0.0)
     if max_iter is None:
         max_iter = max(20 * n, 50)
 
     norm_f = np.linalg.norm(F)
     if norm_f == 0.0:
-        return np.zeros(n), SolveStats(0, 0.0, time.perf_counter() - t0)
+        return np.zeros(n), SolveStats(0, 0.0)
 
     if jacobi_precondition:
         d = A.diagonal().copy()
@@ -76,7 +73,7 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     stall_window = max(200, n // 4)
 
     def fail(it, why):
-        stats = SolveStats(it, best_res, time.perf_counter() - t0)
+        stats = SolveStats(it, best_res)
         raise SolverError(
             f"CG did not reach rel_tol={rel_tol:g} in {it} iterations "
             f"({why}, best residual {best_res:.3e})", stats, best_x, best_r)
@@ -94,7 +91,7 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
             callback(x.copy())
         res = np.linalg.norm(r) / norm_f
         if res <= rel_tol:
-            return x, SolveStats(it, res, time.perf_counter() - t0)
+            return x, SolveStats(it, res)
         if res < best_res:
             best_res, best_it = res, it
             best_x, best_r = x.copy(), r.copy()

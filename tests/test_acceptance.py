@@ -223,9 +223,9 @@ def test_criterion_5_patch_test():
     worst = 0.0
     for level in (1, 2, 3):
         space = build_space(build_crisscross_mesh(level), "pk_interp", 4)
-        system = assemble_system(space, f=patch.f)
+        system = assemble_system(space, patch.f)
         x, _ = cg_solve(system.A, system.F, rel_tol=1e-14)
-        u_h = FeFunction(space, x, system.interp_coeffs)
+        u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
         l2, _ = error_norms(patch, u_h)
         worst = max(worst, l2)
     ok = worst <= 1e-9
@@ -420,13 +420,13 @@ def _derivative_checks(problems):
 def _interior_orthogonality_check(problems):
     patch = PROBLEMS["poly4"]
     space = build_space(build_crisscross_mesh(2), "pk_interp", 4)
-    system = assemble_system(space, f=patch.f)
+    system = assemble_system(space, patch.f)
     x, _ = cg_solve(system.A, system.F, rel_tol=1e-14)
-    u_h = FeFunction(space, x, system.interp_coeffs)
+    u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
     rule = make_quad_rule(12)
     for eid in range(space.n_elements):
         basis = space.basis[eid][None, :, 0]
-        local = u_h.local_coeffs(eid)
+        local = u_h.coeffs[eid]
         vals = block_values(basis, 4, rule.points)[0]
         grads = block_gradients(basis, 4, space.grad_lambda[eid], rule.points)[0]
         uh_grad = np.einsum("n,npd->pd", local, grads)
@@ -460,7 +460,7 @@ def test_criterion_8_condition_estimates():
     cases = [("pk_lagrange", 2, 2), ("p2c_interp", 2, 3), ("p2nc_std", 2, 2),
              ("p3_interp", 3, 2)]
     for family, k, level in cases:
-        system = assemble_system(build_crisscross_mesh(level), family, k,
+        system = assemble_system(build_space(build_crisscross_mesh(level), family, k),
                                  PROBLEMS["sine"].f)
         if not (0 < system.A.shape[0] <= 200):
             problems.append(f"{family} level {level}: size {system.A.shape[0]} not <= 200")

@@ -45,12 +45,16 @@ def basis_gradients(space, eid, bary, part=0):
 
 
 def solve(space, problem, tol=1e-13):
-    system = assemble_system(space, f=problem.f)
+    system = assemble_system(space, problem.f)
     if space.dof_map.n_free:
         x, _ = cg_solve(system.A, system.F, rel_tol=tol)
     else:
         x = np.zeros(0)
-    return FeFunction(space, x, system.interp_coeffs)
+    return FeFunction.from_dofs(space, x, system.interp_coeffs)
+
+
+def zero_function(space):
+    return FeFunction(space, np.zeros(space.dof_map.dofs.shape))
 
 
 def test_identical_inputs_give_zero():
@@ -62,7 +66,7 @@ def test_identical_inputs_give_zero():
 def test_analytic_vs_zero_function():
     # L2 norm of sin(pi x) sin(pi y) is 1/2; H1 seminorm is pi/sqrt(2)
     space = build_space(build_crisscross_mesh(3), "pk_lagrange", 2)
-    zero = FeFunction.zero(space)
+    zero = zero_function(space)
     l2, h1 = error_norms(SINE, zero)
     assert l2 == pytest.approx(0.5, rel=1e-12)
     assert h1 == pytest.approx(np.pi / np.sqrt(2.0), rel=1e-12)
@@ -73,21 +77,20 @@ def test_single_triangle_norms_against_symbolic():
     # L2^2 = 41/144 and |.|_1^2 = 17/6 by symbolic integration
     mesh = build_crisscross_mesh(1)
     space = build_space(mesh, "pk_lagrange", 2)
-    override = []
+    coeffs = []
     target = None
     for eid in range(space.n_elements):
         geom = element_geom(space, eid)
         pts = domain_points(2, geom)
         vals = Quadratic.u(pts[:, 0], pts[:, 1])
         if np.allclose(geom.vertices, [[0, 0], [1, 0], [0.5, 0.5]]):
-            override.append(vals)
+            coeffs.append(vals)
             target = eid
         else:
-            override.append(np.zeros(6))
+            coeffs.append(np.zeros(6))
     assert target is not None
-    fe = FeFunction(space, np.zeros(space.dof_map.n_free),
-                    [np.zeros(0)] * 4, override)
-    l2, h1 = error_norms(fe, FeFunction.zero(space))
+    fe = FeFunction(space, np.array(coeffs))
+    l2, h1 = error_norms(fe, zero_function(space))
     assert l2 == pytest.approx(np.sqrt(41.0 / 144.0), rel=1e-12)
     assert h1 == pytest.approx(np.sqrt(17.0 / 6.0), rel=1e-12)
 
@@ -95,9 +98,9 @@ def test_single_triangle_norms_against_symbolic():
 def test_norm_homogeneity():
     space = build_space(build_crisscross_mesh(2), "p2nc_interp")
     u_h = solve(space, SINE)
-    zero = FeFunction.zero(space)
+    zero = zero_function(space)
     l2, h1 = error_norms(u_h, zero)
-    l2s, h1s = error_norms(u_h.scaled(-2.5), zero)
+    l2s, h1s = error_norms(FeFunction(space, -2.5 * u_h.coeffs), zero)
     assert l2s == pytest.approx(2.5 * l2, rel=1e-12)
     assert h1s == pytest.approx(2.5 * h1, rel=1e-12)
 
@@ -119,7 +122,7 @@ def test_lagrange_interpolant_is_nodal():
     space = build_space(build_crisscross_mesh(2), "pk_lagrange", 3)
     i_h = interpolate_exact(SINE.u, SINE.f, space)
     for eid in range(space.n_elements):
-        local = i_h.local_coeffs(eid)
+        local = i_h.coeffs[eid]
         for loc, (x, y) in enumerate(space.node_xy[eid]):
             on_boundary = space.dof_map.dofs[eid, loc] < 0
             expected = 0.0 if on_boundary else SINE.u(x, y)
@@ -130,8 +133,8 @@ def test_interpolant_of_zero_is_zero():
     space = build_space(build_crisscross_mesh(2), "pk_interp", 4)
     zero_problem = lambda x, y: 0.0 * x
     i_h = interpolate_exact(zero_problem, zero_problem, space)
-    assert np.allclose(i_h.free, 0.0)
-    assert all(np.allclose(c, 0.0) for c in i_h.interp)
+    assert i_h.coeffs.shape == space.dof_map.dofs.shape
+    assert np.allclose(i_h.coeffs, 0.0)
 
 
 def test_patch_function_interpolates_exactly():
@@ -147,7 +150,7 @@ def test_patch_function_interpolates_exactly():
             geom = element_geom(space, eid)
             lam = geom.to_barycentric((x, y))
             if np.all(lam >= -1e-12):
-                local = i_h.local_coeffs(eid)
+                local = i_h.coeffs[eid]
                 got = float(local @ basis_values(space, eid, np.array([lam]))[:, 0])
                 assert got == pytest.approx(PATCH.u(x, y), abs=1e-10)
                 break
@@ -164,7 +167,7 @@ def test_nc_interpolant_reproduces_local_trial_functions():
     rule_pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]])
     for eid in range(space.n_elements):
         geom = element_geom(space, eid)
-        local = i_h.local_coeffs(eid)
+        local = i_h.coeffs[eid]
         got = local @ basis_values(space, eid, rule_pts)
         xy = rule_pts @ geom.vertices
         assert np.allclose(got, u(xy[:, 0], xy[:, 1]), atol=1e-11)
@@ -176,11 +179,9 @@ def test_eh_has_zero_interior_coefficients(family, k):
     space = build_space(build_crisscross_mesh(2), family, k)
     u_h = solve(space, SINE)
     i_h = interpolate_exact(SINE.u, SINE.f, space)
-    for eid in range(space.n_elements):
-        ci = np.asarray(u_h.interp[eid])
-        cj = np.asarray(i_h.interp[eid])
-        if len(ci):
-            assert np.allclose(ci, cj, atol=1e-14)
+    interp = space.dof_map.interp_mask
+    assert interp.any()
+    assert np.allclose(u_h.coeffs[:, interp], i_h.coeffs[:, interp], atol=1e-14)
 
 
 def test_error_norms_rejects_mismatched_spaces():
@@ -198,7 +199,7 @@ def test_error_norms_needs_fe_side():
 def test_error_norms_flat_pairs():
     space = build_space(build_crisscross_mesh(2), "pk_lagrange", 3)
     u_h = solve(space, SINE)
-    zero = FeFunction.zero(space)
+    zero = zero_function(space)
     assert error_norms(u_h, zero, SINE, u_h) == (
         error_norms(u_h, zero) + error_norms(u_h, SINE) + (0.0, 0.0))
     with pytest.raises(TypeError):
@@ -240,7 +241,7 @@ def _reference_error_norms(a, b):
             side = []
             for obj in (a, b):
                 if isinstance(obj, FeFunction):
-                    c = obj.local_coeffs(eid)
+                    c = obj.coeffs[eid]
                     side.append((c @ vals_tab, np.einsum("n,npd->pd", c, grads_tab)))
                 else:
                     side.append((np.asarray(obj.u(xy[:, 0], xy[:, 1]), dtype=float),
@@ -262,12 +263,18 @@ def _reference_interpolant(u, f, space):
             if loc < space.node_xy.shape[1]:    # a node slot
                 x, y = space.node_xy[eid, loc]
                 free[dm.dofs[eid, loc]] = u(x, y)
-    return FeFunction(space=space, free=free, interp=interior_coefficients(space, f))
+    interior = interior_coefficients(space, f)
+    coeffs = np.zeros(dm.dofs.shape)
+    for eid in range(space.n_elements):
+        for loc in np.flatnonzero(dm.dofs[eid] >= 0):
+            coeffs[eid, loc] = free[dm.dofs[eid, loc]]
+        coeffs[eid, dm.interp_mask] = interior[eid]
+    return FeFunction(space, coeffs)
 
 
 def _reference_nc_interpolant(u, f, space):
     """The p2nc interpolant by a least-squares fit on every triangle."""
-    override = []
+    coeffs = []
     for eid in range(space.n_elements):
         geom = element_geom(space, eid)
         gp = triangle_gauss_points(geom.vertices)
@@ -278,9 +285,8 @@ def _reference_nc_interpolant(u, f, space):
         if space.family == "p2nc_std":
             lap_op = laplacian_operator(2, geom.grad_lambda[None])[0]
             bubble += sum(a[i] * (lap_op @ space.basis[eid, i, 0])[0] for i in range(6))
-        override.append(np.concatenate([a, [bubble]]))
-    return FeFunction(space, np.zeros(space.dof_map.n_free),
-                      np.zeros((space.n_elements, 0)), override)
+        coeffs.append(np.concatenate([a, [bubble]]))
+    return FeFunction(space, np.array(coeffs))
 
 
 @pytest.mark.parametrize("family,k,level,perturb", [
@@ -293,8 +299,7 @@ def test_interpolant_and_norms_bit_identical_to_element_loop(family, k, level, p
     u_h = solve(space, SINE)
     i_h = interpolate_exact(SINE.u, SINE.f, space)
     ref = _reference_interpolant(SINE.u, SINE.f, space)
-    assert np.array_equal(i_h.free, ref.free)
-    assert np.array_equal(i_h.interp, ref.interp)
+    assert np.array_equal(i_h.coeffs, ref.coeffs)
     assert error_norms(i_h, u_h) == _reference_error_norms(ref, u_h)
     assert error_norms(SINE, u_h) == _reference_error_norms(SINE, u_h)
     # one pass over both pairs, in either order, gives the bits of the loop

@@ -93,7 +93,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(family="p2nc_std", levels=(1,), compare=True).validate()
     with pytest.raises(ValueError):
-        ExperimentConfig(family="p2c_interp", levels=(1,), output_format="xml").validate()
+        emit_report(ConvergenceReport(config=cfg), "xml")
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,7 @@ def test_main_exit_codes(tmp_path):
 
 def test_solver_failure_is_logged(monkeypatch, caplog, capsys):
     def failing_cg(A, F, rel_tol):
-        stats = SolveStats(iterations=7, relative_residual=1e-3, wall_time=0.0)
+        stats = SolveStats(iterations=7, relative_residual=1e-3)
         raise SolverError("no convergence", stats, np.zeros_like(F), F)
 
     monkeypatch.setattr(igfem.cli, "cg_solve", failing_cg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from igfem.assembly import assemble_system
+from igfem.assembly import assemble_system, build_space
 from igfem.cli import PROBLEMS
 from igfem.mesh import build_crisscross_mesh
 from igfem.solver import SolverError, cg_solve, estimate_condition
@@ -140,7 +140,7 @@ def test_condition_skips_null_space():
 
 
 def _sine_matrix(family, k, level):
-    return assemble_system(build_crisscross_mesh(level), family, k,
+    return assemble_system(build_space(build_crisscross_mesh(level), family, k),
                            PROBLEMS["sine"].f).A
 
 
