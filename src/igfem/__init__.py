@@ -5,7 +5,7 @@ forcing function f (using the Laplacian of the exact solution), so the
 Galerkin system is solved only for the inter-element boundary unknowns.
 """
 
-from .mesh import Mesh, build_crisscross_mesh, edge_gauss_points
+from .mesh import Mesh, build_crisscross_mesh
 from .poly import BPoly, QuadRule, TriGeom, bpoly_eval, bpoly_grad, \
     bpoly_from_point_values, bpoly_laplacian, make_quad_rule
 from .elements import build_fs_bubble, build_lagrange_basis, \
@@ -15,8 +15,7 @@ from .assembly import DofMap, FAMILIES, SparseSystem, Space, assemble_system, \
     build_dof_map, build_space, interior_coefficients
 from .solver import ConditionEstimate, SolveStats, SolverError, cg_solve, \
     estimate_condition
-from .analysis import ErrorRecord, FeFunction, convergence_orders, error_norms, \
-    interpolate_exact
+from .analysis import FeFunction, convergence_orders, error_norms, interpolate_exact
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,6 @@ from .poly import _collocation_inverse, bernstein_values, make_quad_rule
 
 __all__ = [
     "FeFunction",
-    "ErrorRecord",
     "interpolate_exact",
     "error_norms",
     "convergence_orders",
@@ -145,19 +144,3 @@ def convergence_orders(errors) -> list:
         else:
             orders.append(math.log2(prev / cur))
     return orders
-
-
-@dataclass
-class ErrorRecord:
-    """Per-level errors of one family: table quantity e_h and the true error."""
-
-    level: int
-    h: float
-    free_dofs: int
-    interp_dofs: int
-    l2_ih: float
-    h1_ih: float
-    l2_true: float
-    h1_true: float
-    order_l2: float | None = None
-    order_h1: float | None = None

@@ -19,12 +19,12 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy
 
-from .analysis import ErrorRecord, convergence_orders, error_norms, interpolate_exact, FeFunction
+from .analysis import FeFunction, convergence_orders, error_norms, interpolate_exact
 from .assembly import FAMILIES, assemble_system, build_space, resolve_degree
 from .mesh import build_crisscross_mesh
 from .solver import SolverError, cg_solve, estimate_condition
@@ -127,19 +127,6 @@ class ExperimentConfig:
         fam, k = _BASELINE[self.family]
         return fam, self.degree if k is None else k
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "degree": self.degree,
-                "levels": list(self.levels), "problem": self.problem,
-                "tol": self.tol, "compare": self.compare,
-                "condition": self.condition}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(family=d["family"], degree=d["degree"],
-                   levels=tuple(d["levels"]), problem=d["problem"],
-                   tol=d["tol"], compare=d["compare"],
-                   condition=d["condition"])
-
 
 _ROW_KEYS = ("level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",
              "l2_true", "h1_true", "order_l2", "order_h1", "cg_iters")
@@ -164,22 +151,12 @@ class ConvergenceReport:
     env: dict = field(default_factory=_environment)    # where the numbers were made
 
     def to_dict(self) -> dict:
-        out = {"config": self.config.to_dict(), "env": self.env, "rows": self.rows}
+        out = {"config": asdict(self.config), "env": self.env, "rows": self.rows}
         if self.baseline_rows is not None:
             out["baseline_rows"] = self.baseline_rows
         if self.failures:
             out["failures"] = [list(fl) for fl in self.failures]
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConvergenceReport":
-        return cls(config=ExperimentConfig.from_dict(d["config"]),
-                   rows=d["rows"], baseline_rows=d.get("baseline_rows"),
-                   failures=[tuple(fl) for fl in d.get("failures", [])],
-                   env=d.get("env", {}))
-
-    def __eq__(self, other):
-        return isinstance(other, ConvergenceReport) and self.to_dict() == other.to_dict()
 
 
 @contextlib.contextmanager
@@ -220,10 +197,11 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             i_h = interpolate_exact(problem.u, problem.f, space)
         with _timed(timings, "norms"):
             l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
-        record = ErrorRecord(level=level, h=mesh.h, free_dofs=dm.n_free,
-                             interp_dofs=dm.n_interp, l2_ih=l2_ih, h1_ih=h1_ih,
-                             l2_true=l2_true, h1_true=h1_true)
-        row = {**vars(record), "cg_iters": iters, "cg_residual": residual}
+        # order_* hold their JSON key position until every level is done
+        row = {"level": level, "h": mesh.h, "free_dofs": dm.n_free,
+               "interp_dofs": dm.n_interp, "l2_ih": l2_ih, "h1_ih": h1_ih,
+               "l2_true": l2_true, "h1_true": h1_true, "order_l2": None,
+               "order_h1": None, "cg_iters": iters, "cg_residual": residual}
         if condition and dm.n_free:
             with _timed(timings, "condition"):
                 est = estimate_condition(system.A)

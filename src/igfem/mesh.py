@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Mesh",
     "build_crisscross_mesh",
-    "edge_gauss_points",
     "triangle_gauss_points",
 ]
 
@@ -153,19 +152,6 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
                 perturbation=perturb)
     mesh._freeze()
     return mesh
-
-
-def edge_gauss_points(p0, p1) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The two 2-point Gauss-Legendre nodes of segment p0-p1, in parameter order.
-
-    p0 and p1 are (x, y) pairs; so are the two nodes returned.
-    """
-    (x0, y0), (x1, y1) = p0, p1
-    dx, dy = x1 - x0, y1 - y0
-    if dx * dx + dy * dy == 0.0:
-        raise ValueError("degenerate edge: endpoints coincide")
-    return ((x0 + _GAUSS_T1 * dx, y0 + _GAUSS_T1 * dy),
-            (x0 + _GAUSS_T2 * dx, y0 + _GAUSS_T2 * dy))
 
 
 def triangle_gauss_points(verts: np.ndarray) -> np.ndarray:

@@ -29,13 +29,12 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """CG failed to reach the requested tolerance; carries stats and iterate."""
+    """CG failed to reach the requested tolerance; carries stats and the best iterate."""
 
-    def __init__(self, message, stats: SolveStats, x: np.ndarray, residual: np.ndarray):
+    def __init__(self, message, stats: SolveStats, x: np.ndarray):
         super().__init__(message)
         self.stats = stats
         self.x = x
-        self.residual = residual
 
 
 def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
@@ -69,14 +68,14 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     z = r * inv_d if inv_d is not None else r
     p = z.copy()
     rz = r @ z
-    best_res, best_x, best_r, best_it = np.inf, x.copy(), r.copy(), 0
+    min_res, best_x, best_it = np.inf, x.copy(), 0
     stall_window = max(200, n // 4)
 
     def fail(it, why):
-        stats = SolveStats(it, best_res)
+        stats = SolveStats(it, min_res)
         raise SolverError(
             f"CG did not reach rel_tol={rel_tol:g} in {it} iterations "
-            f"({why}, best residual {best_res:.3e})", stats, best_x, best_r)
+            f"({why}, best residual {min_res:.3e})", stats, best_x)
 
     for it in range(1, max_iter + 1):
         Ap = A @ p
@@ -92,10 +91,10 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
         res = np.linalg.norm(r) / norm_f
         if res <= rel_tol:
             return x, SolveStats(it, res)
-        if res < best_res:
-            best_res, best_it = res, it
-            best_x, best_r = x.copy(), r.copy()
-        elif res > 1e4 * max(best_res, rel_tol):
+        if res < min_res:
+            min_res, best_it = res, it
+            best_x = x.copy()
+        elif res > 1e4 * max(min_res, rel_tol):
             fail(it, "divergence")   # inconsistent RHS blows CG up
         elif it - best_it >= stall_window:
             fail(it, "stagnation")   # residual floored above the tolerance
@@ -121,21 +120,17 @@ def _power_iteration(A: sp.csr_array, rng, tol=1e-8, max_iter=20000):
     v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
     rho = 0.0
-    converged = False
     for _ in range(max_iter):
         w = A @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0, v, True
-        v_new = w / nw
-        rho_new = v_new @ (A @ v_new)
+            return 0.0, True
+        v = w / nw
+        rho_new = v @ (A @ v)
         if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
-            rho = rho_new
-            v = v_new
-            converged = True
-            break
-        rho, v = rho_new, v_new
-    return rho, v, converged
+            return rho_new, True
+        rho = rho_new
+    return rho, False
 
 
 def estimate_condition(A: sp.csr_array, seed: int = 0) -> ConditionEstimate:
@@ -149,7 +144,7 @@ def estimate_condition(A: sp.csr_array, seed: int = 0) -> ConditionEstimate:
     if A.shape[0] == 0:
         raise ValueError("cannot estimate the condition of an empty matrix")
     rng = np.random.default_rng(seed)
-    lam_max, _, ok_max = _power_iteration(A, rng)
+    lam_max, ok_max = _power_iteration(A, rng)
     # A @ random lies in range(A), and unpreconditioned CG keeps its Krylov
     # iterates there, so a null direction of a singular A is never amplified
     v = A @ rng.standard_normal(A.shape[0])
