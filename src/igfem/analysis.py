@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Space, element_blocks, interior_coefficients, norm_rule_degree
-from .elements import block_gradients, block_values
+from . import elements as el
+from .assembly import Space, interior_coefficients, norm_rule_degree, shape_blocks
 from .mesh import triangle_gauss_points
 from .poly import _collocation_inverse, bernstein_values, make_quad_rule
 
@@ -112,14 +112,20 @@ def error_norms(a, *bs) -> tuple[float, ...]:
         raise ValueError("FeFunctions live on different meshes/spaces")
 
     rule = make_quad_rule(norm_rule_degree(space.k))
+    parts = range(space.basis.shape[2])
+
+    def tabulate(basis, grad_lambda, area):
+        """Basis values (B, nb, P) and gradients (B, nb, P, 2) of each part in turn."""
+        return tuple(table for p in parts for table in (
+            el.block_values(basis[:, :, p], space.k, rule),
+            el.block_gradients(basis[:, :, p], space.k, grad_lambda[:, p], rule)))
+
     tables = [x.coeffs if isinstance(x, FeFunction) else None for x in sides]
     # L2 and H1 terms of every pair, per (element, part)
     sq = np.zeros((len(bs), 2) + space.area.shape)
-    for s, basis, verts, grad_lambda, area in element_blocks(space):
-        for part in range(basis.shape[2]):
-            vals = block_values(basis[:, :, part], space.k, rule.points)
-            grads = block_gradients(basis[:, :, part], space.k, grad_lambda[:, part],
-                                    rule.points)
+    for s, verts, area, shape_tables in shape_blocks(space, tabulate):
+        for part in parts:
+            vals, grads = shape_tables[2 * part:2 * part + 2]
             xy = rule.points @ verts[:, part]
             (va, ga), *rest = [_block_eval(x, None if t is None else t[s], vals, grads, xy)
                                for x, t in zip(sides, tables)]

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 
 from . import elements as el
 from .mesh import Mesh
-from .poly import (bernstein_values, make_quad_rule, multi_indices, num_coeffs,
-                   triangle_geometry, MAX_QUAD_DEGREE)
+from .poly import (make_quad_rule, multi_indices, num_coeffs, triangle_geometry,
+                   MAX_QUAD_DEGREE)
 
 __all__ = [
     "FAMILIES",
@@ -161,7 +161,9 @@ class Space:
 
     Element e (a triangle, or a macro square for p2c) has parts p, the
     triangles its basis is polynomial on; `basis[e, i, p]` holds the
-    Bernstein coefficients of basis function i on part p.
+    Bernstein coefficients of basis function i on part p.  Elements with
+    the same `shape` have the same basis, grad_lambda and area bits, so the
+    element passes tabulate each shape once.
     """
 
     mesh: Mesh
@@ -175,6 +177,7 @@ class Space:
     node_xy: np.ndarray             # (E, n_node, 2) points of the node slots
     lap_xy: np.ndarray | None       # (E, 2) Laplacian points: p2c, p2nc, p3
     moments: np.ndarray | None      # (E, d, nc_{k-3}) pk_interp: orthonormal p_j
+    shape: np.ndarray               # (E,) shape index, see _shape_index
 
     @property
     def n_elements(self) -> int:
@@ -224,7 +227,31 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     node_xy = (np.array(alphas, dtype=float) / k) @ corners
     return Space(mesh=mesh, family=family, k=k, dof_map=dof_map, basis=basis,
                  verts=verts, grad_lambda=grad_lambda, area=area, node_xy=node_xy,
-                 lap_xy=lap_xy, moments=moments)
+                 lap_xy=lap_xy, moments=moments,
+                 shape=_shape_index(basis, grad_lambda, area))
+
+
+def _shape_index(basis, grad_lambda, area) -> np.ndarray:
+    """Shape ids (E,) numbered in order of first appearance.  Two elements share
+    one only when the int64 views of their basis, grad_lambda and area are
+    equal, so 0.0 and -0.0 differ.
+
+    Elements are grouped by their geometry bytes, then each basis is compared
+    with its group's first one, BLOCK_BYTES of bases at a time; an element
+    whose basis differs from that one gets a shape of its own.
+    """
+    E = len(basis)
+    geom = np.concatenate([grad_lambda.reshape(E, -1), area.reshape(E, -1)], axis=1)
+    _, first, group = np.unique(geom.view(np.dtype((np.void, geom[0].nbytes)))[:, 0],
+                                return_index=True, return_inverse=True)
+    rep = first[group]                         # the element each one is compared with
+    bits = basis.reshape(E, -1).view(np.int64)
+    step = max(1, BLOCK_BYTES // bits[0].nbytes)
+    for start in range(0, E, step):
+        s = slice(start, start + step)
+        same = (bits[s] == bits[rep[s]]).all(axis=1)
+        rep[s] = np.where(same, rep[s], np.arange(start, start + len(same)))
+    return np.unique(rep, return_inverse=True)[1]
 
 
 def element_blocks(space: Space):
@@ -234,6 +261,41 @@ def element_blocks(space: Space):
     for start in range(0, space.n_elements, step):
         s = slice(start, start + step)
         yield s, space.basis[s], space.verts[s], space.grad_lambda[s], space.area[s]
+
+
+def shape_blocks(space: Space, tabulate):
+    """element_blocks with per-element tables: yields (slice, vertices, area,
+    tables), where tables are the arrays tabulate(basis, grad_lambda, area)
+    returns, each with a leading axis over the block's elements.
+
+    tabulate runs once per shape, on the shape's first element; its rows are
+    kept for the shape's later elements and dropped after its last one.  An
+    element's rows do not depend on the other elements tabulated with it, so
+    the tables equal those of tabulating every element, bit for bit.
+    """
+    shape = space.shape
+    first = np.unique(shape, return_index=True)[1]
+    last = len(shape) - 1 - np.unique(shape[::-1], return_index=True)[1]
+    kept_ids, kept = shape[:0], None           # rows of shapes met and not yet done
+    for s, basis, verts, grad_lambda, area in element_blocks(space):
+        block = shape[s]
+        stop = s.start + len(block)
+        new = np.flatnonzero(first[block] == np.arange(s.start, stop))
+        if len(new) == len(block):             # every element starts its shape
+            ids, rows = block, tabulate(basis, grad_lambda, area)
+            tables = rows
+        else:
+            ids, rows = kept_ids, kept
+            if len(new):
+                fresh = tabulate(basis[new], grad_lambda[new], area[new])
+                # shape ids grow with first appearance, so ids stay sorted
+                ids = np.concatenate([kept_ids, block[new]])
+                rows = fresh if kept is None else tuple(map(np.concatenate, zip(kept, fresh)))
+            at = np.searchsorted(ids, block)
+            tables = tuple(t[at] for t in rows)
+        more = last[ids] >= stop
+        kept_ids, kept = ids[more], (tuple(t[more] for t in rows) if more.any() else None)
+        yield s, verts, area, tables
 
 
 def interior_coefficients(space: Space, f) -> np.ndarray:
@@ -248,8 +310,8 @@ def interior_coefficients(space: Space, f) -> np.ndarray:
     if space.family != "pk_interp":
         return np.zeros((space.n_elements, 0))
     rule = make_quad_rule(load_rule_degree(space.k))
-    bv = bernstein_values(3, rule.points) @ el.BUBBLE
-    low = bernstein_values(space.k - 3, rule.points)
+    bv = rule.bernstein(3) @ el.BUBBLE
+    low = rule.bernstein(space.k - 3)
     c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
     for s, _, verts, _, area in element_blocks(space):
         pj = space.moments[s]
@@ -279,21 +341,32 @@ def assemble_system(space: Space, f) -> SparseSystem:
     """
     dm = space.dof_map
     k = space.k
+    parts = range(space.basis.shape[2])
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
     load_rule = make_quad_rule(load_rule_degree(k))
-    S = np.zeros(dm.dofs.shape + dm.dofs.shape[1:])       # (E, nb, nb)
-    L = np.zeros(dm.dofs.shape)                           # (E, nb)
-    for s, basis, verts, grad_lambda, area in element_blocks(space):
-        for part in range(basis.shape[2]):
+
+    def tabulate(basis, grad_lambda, area):
+        """Stiffness matrices (B, nb, nb), then area-weighted basis values
+        (B, nb, P) at the load rule, one array per part."""
+        S = np.zeros(basis.shape[:2] + basis.shape[1:2])
+        av = []
+        for part in parts:
             grads = el.block_gradients(basis[:, :, part], k, grad_lambda[:, part],
-                                       stiff_rule.points)           # (B, nb, P, 2)
-            S[s] += area[:, part, None, None] * np.einsum(
+                                       stiff_rule)                  # (B, nb, P, 2)
+            S += area[:, part, None, None] * np.einsum(
                 "bnpd,bmpd,p->bnm", grads, grads, stiff_rule.weights)
-            vals = el.block_values(basis[:, :, part], k, load_rule.points)  # (B, nb, P)
+            av.append(area[:, part, None, None]
+                      * el.block_values(basis[:, :, part], k, load_rule))
+        return S, *av
+
+    S = np.empty(dm.dofs.shape + dm.dofs.shape[1:])       # (E, nb, nb)
+    L = np.zeros(dm.dofs.shape)                           # (E, nb)
+    for s, verts, _, (S_block, *av) in shape_blocks(space, tabulate):
+        S[s] = S_block
+        for part in parts:
             xy = load_rule.points @ verts[:, part]
             fv = f(xy[..., 0], xy[..., 1])
-            L[s] += ((area[:, part, None, None] * vals)
-                     @ (load_rule.weights * fv)[:, :, None])[..., 0]
+            L[s] += (av[part] @ (load_rule.weights * fv)[:, :, None])[..., 0]
     c = interior_coefficients(space, f)                   # (E, n_interp)
 
     # The order of the COO entries (element, local row, local column) and of

@@ -33,6 +33,7 @@ from .poly import (
     multi_indices,
     num_coeffs,
     triangle_geometry,
+    QuadRule,
     _collocation_inverse,
     _reduction_maps,
     MAX_QUAD_DEGREE,
@@ -63,13 +64,20 @@ BUBBLE[multi_indices(3).index((1, 1, 1))] = 27.0 / 6.0
 BUBBLE.setflags(write=False)
 
 
-def block_values(coeffs, k: int, bary) -> np.ndarray:
-    """Values of a (B, nb, nc) block of degree-k bases at barycentric points: (B, nb, P)."""
-    return coeffs @ bernstein_values(k, bary).T
+def _bernstein_at(k: int, at) -> np.ndarray:
+    """Degree-k Bernstein values at barycentric points (P, 3), or a QuadRule's cached table."""
+    return at.bernstein(k) if isinstance(at, QuadRule) else bernstein_values(k, at)
 
 
-def block_gradients(coeffs, k: int, grad_lambda, bary) -> np.ndarray:
-    """Gradients (B, nb, P, 2) of a (B, nb, nc) block of degree-k bases; grad_lambda (B, 3, 2)."""
+def block_values(coeffs, k: int, at) -> np.ndarray:
+    """Values of a (B, nb, nc) block of degree-k bases at barycentric points (P, 3)
+    or at a QuadRule's points: (B, nb, P)."""
+    return coeffs @ _bernstein_at(k, at).T
+
+
+def block_gradients(coeffs, k: int, grad_lambda, at) -> np.ndarray:
+    """Gradients (B, nb, P, 2) of a (B, nb, nc) block of degree-k bases; grad_lambda
+    (B, 3, 2); `at` as in block_values."""
     maps = _reduction_maps(k)
     B, nb, _ = coeffs.shape
     nc = num_coeffs(k - 1)
@@ -80,7 +88,7 @@ def block_gradients(coeffs, k: int, grad_lambda, bary) -> np.ndarray:
     by_coeff = coeffs.transpose(2, 0, 1)
     for i in range(3):
         gcoef += by_coeff[maps[i], :, :, None] * grad_lambda[None, :, None, i]
-    table = np.einsum("pc,cx->px", bernstein_values(k - 1, bary), gcoef.reshape(nc, -1))
+    table = np.einsum("pc,cx->px", _bernstein_at(k - 1, at), gcoef.reshape(nc, -1))
     out = np.ascontiguousarray(table.reshape(-1, B, nb, 2).transpose(1, 2, 0, 3))
     out *= k
     return out
@@ -227,19 +235,18 @@ def gram_schmidt_pj(verts, k: int) -> np.ndarray:
                      for total in range(deg + 1) for a in range(total, -1, -1)], axis=1)
 
     rule = make_quad_rule(min(2 * k, MAX_QUAD_DEGREE))
-    qb = rule.points
     w = rule.weights * area[:, None]
-    b_vals = bernstein_values(3, qb) @ BUBBLE
+    b_vals = rule.bernstein(3) @ BUBBLE
     maps = _reduction_maps(3)
     b_gcoef = np.zeros((len(g), 6, 2))
     for i in range(3):
         b_gcoef += BUBBLE[maps[i]][None, :, None] * g[:, None, i]
-    b_grads = bernstein_values(2, qb) @ (3 * b_gcoef)               # (E, P, 2)
-    vals_low = bernstein_values(deg, qb)
+    b_grads = rule.bernstein(2) @ (3 * b_gcoef)                     # (E, P, 2)
+    vals_low = rule.bernstein(deg)
 
     def gram_of(rows):
         p_vals = vals_low @ rows.transpose(0, 2, 1)                 # (E, P, d)
-        p_grads = block_gradients(rows, deg, g, qb)
+        p_grads = block_gradients(rows, deg, g, rule)
         # grad(b p) = p grad b + b grad p, evaluated pointwise; einsum's bits
         # follow the operand layout, so gbp is made C-contiguous
         gbp = np.ascontiguousarray(p_vals.transpose(0, 2, 1)[..., None] * b_grads[:, None]
@@ -273,11 +280,10 @@ def build_pk_basis(verts, k: int) -> tuple[np.ndarray, np.ndarray]:
     n_nodes = len(alphas)
 
     rule = make_quad_rule(min(2 * k, MAX_QUAD_DEGREE))
-    qb = rule.points
     w = rule.weights * area[:, None]
-    lap_vals = bernstein_values(k - 2, qb) @ laplacian_operator(k, g)      # (E, P, nc)
-    b_vals = bernstein_values(3, qb) @ BUBBLE
-    low = bernstein_values(k - 3, qb)
+    lap_vals = rule.bernstein(k - 2) @ laplacian_operator(k, g)           # (E, P, nc)
+    b_vals = rule.bernstein(3) @ BUBBLE
+    low = rule.bernstein(k - 3)
     M = np.empty((len(verts), num_coeffs(k), num_coeffs(k)))
     M[:, :n_nodes] = bernstein_values(k, np.array(alphas, dtype=float) / k)
     for j in range(n_moments):

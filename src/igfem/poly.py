@@ -9,7 +9,7 @@ barycentric gradients stored in TriGeom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
@@ -247,6 +247,16 @@ class QuadRule:
     points: np.ndarray   # (P, 3)
     weights: np.ndarray  # (P,)
     exactness_degree: int
+    _bernstein: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def bernstein(self, k: int) -> np.ndarray:
+        """bernstein_values(k, points), built once per rule and degree: read-only and
+        C-contiguous, the layout every element pass multiplies it in."""
+        table = self._bernstein.get(k)
+        if table is None:
+            table = self._bernstein[k] = bernstein_values(k, self.points)
+            table.setflags(write=False)
+        return table
 
 
 def _compositions(total: int, parts: int):

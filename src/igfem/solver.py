@@ -119,14 +119,15 @@ class ConditionEstimate:
 def _power_iteration(A: sp.csr_array, rng, tol=1e-8, max_iter=20000):
     v = rng.standard_normal(A.shape[0])
     v /= np.linalg.norm(v)
+    w = A @ v
     rho = 0.0
     for _ in range(max_iter):
-        w = A @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0, True
         v = w / nw
-        rho_new = v @ (A @ v)
+        w = A @ v                # the Rayleigh quotient's product is the next step's
+        rho_new = v @ w
         if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
             return rho_new, True
         rho = rho_new

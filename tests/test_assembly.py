@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import igfem.assembly
+import igfem.elements
 from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
                             build_dof_map, build_space, element_blocks,
                             interior_coefficients, load_rule_degree, norm_rule_degree,
@@ -10,8 +13,8 @@ from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             laplacian_operator)
 from igfem.mesh import build_crisscross_mesh
-from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval, bpoly_laplacian,
-                        make_quad_rule, num_coeffs)
+from igfem.poly import (BPoly, MAX_QUAD_DEGREE, QuadRule, TriGeom, bernstein_values,
+                        bpoly_eval, bpoly_laplacian, make_quad_rule, num_coeffs)
 from igfem.solver import cg_solve
 from igfem.cli import PROBLEMS
 from igfem.analysis import FeFunction, error_norms, interpolate_exact
@@ -406,3 +409,146 @@ def test_block_size_leaves_bits_unchanged(monkeypatch, family, k, level, perturb
     for got, ref in zip(arrays, ref_arrays):
         assert np.array_equal(got, ref)
     assert norms == ref_norms
+
+
+# --- shapes: elements with equal bits share their tables -------------------------
+
+_TRIANGLE_FAMILIES = [("p2nc_interp", None), ("p2nc_std", None), ("p3_interp", None)] + [
+    ("pk_lagrange", k) for k in range(1, 9)]
+
+
+def _equal_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.int64),
+                          np.ascontiguousarray(b).view(np.int64))
+
+
+def test_shape_index_on_criss_cross_grids():
+    # every triangle of a uniform criss-cross grid has one of four orientations
+    mesh = build_crisscross_mesh(3)
+    for family, k in _TRIANGLE_FAMILIES:
+        space = build_space(mesh, family, k)
+        assert space.shape.shape == (space.n_elements,)
+        assert space.shape.max() + 1 <= 4, family
+    assert set(build_space(mesh, "p2c_interp").shape) == {0}
+
+
+def test_shape_index_on_perturbed_mesh():
+    # a triangle with a displaced vertex is its own shape; the boundary
+    # triangles (two boundary vertices and a fixed center) keep four orientations
+    mesh = build_crisscross_mesh(3, perturb=0.2)
+    moved = np.any(mesh.vertices != build_crisscross_mesh(3).vertices, axis=1)
+    displaced = moved[mesh.triangles].any(axis=1)
+    assert displaced.sum() == 48
+    for family, k in _TRIANGLE_FAMILIES + [("pk_interp", 5)]:
+        shape = build_space(mesh, family, k).shape
+        ids, counts = np.unique(shape, return_counts=True)
+        assert np.all(counts[np.searchsorted(ids, shape[displaced])] == 1), family
+        assert len(np.unique(shape[~displaced])) <= 4
+
+
+@pytest.mark.parametrize("family,k,level,perturb", [
+    ("p2nc_interp", None, 4, 0.0), ("p2c_interp", None, 3, 0.0), ("pk_interp", 4, 3, 0.0),
+    ("pk_interp", 8, 2, 0.0), ("pk_lagrange", 3, 3, 0.2), ("p3_interp", None, 3, 0.2)])
+def test_equal_shape_means_equal_bits(family, k, level, perturb):
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
+    first = np.unique(space.shape, return_index=True)[1]
+    # ids count up in order of first appearance
+    assert np.array_equal(first, np.sort(first))
+    rep = first[space.shape]
+    for arr in (space.basis, space.grad_lambda, space.area):
+        assert _equal_bits(arr, arr[rep])
+
+
+def test_shape_index_tells_signed_zeros_apart():
+    space = build_space(build_crisscross_mesh(3), "pk_lagrange", 2)
+    basis = space.basis.copy()
+    e = np.flatnonzero(space.shape == space.shape[0])[1]
+    i = np.flatnonzero(basis[e].ravel() == 0.0)[0]
+    basis[e].ravel()[i] = -0.0
+    assert np.array_equal(basis, space.basis)     # equal as numbers
+    shape = igfem.assembly._shape_index(basis, space.grad_lambda, space.area)
+    assert np.sum(shape == shape[e]) == 1
+    assert shape.max() == space.shape.max() + 1
+
+
+_SHARED_CASES = [("p2nc_interp", None, 5, 0.0), ("p2nc_std", None, 5, 0.0),
+                 ("p2c_interp", None, 4, 0.0), ("p3_interp", None, 4, 0.0),
+                 ("pk_lagrange", 8, 3, 0.0), ("pk_lagrange", 2, 4, 0.2)]
+
+
+def _pass_outputs(space):
+    """A, F, interior coefficients and the error norms of a Space."""
+    system = assemble_system(space, f=SINE.f)
+    u = FeFunction.from_dofs(
+        space, np.random.default_rng(0).normal(size=space.dof_map.n_free),
+        system.interp_coeffs)
+    i_h = interpolate_exact(SINE.u, SINE.f, space)
+    return [system.A.data, system.F, system.interp_coeffs], error_norms(i_h, SINE, u)
+
+
+def _assert_same_outputs(space, ref_space):
+    (arrays, norms), (ref_arrays, ref_norms) = _pass_outputs(space), _pass_outputs(ref_space)
+    for got, ref in zip(arrays, ref_arrays):
+        assert np.array_equal(got, ref)
+    assert norms == ref_norms
+
+
+@pytest.mark.parametrize("family,k,level,perturb", _SHARED_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in _SHARED_CASES])
+def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, level, perturb):
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
+    # the same space with every element its own shape tabulates every element
+    own = dataclasses.replace(space, shape=np.arange(space.n_elements))
+    _assert_same_outputs(space, own)
+
+
+def test_shared_tables_kept_up_to_a_block_boundary():
+    # split every shape after the first element of the second block, so that
+    # shapes end exactly where a block starts and others start there
+    space = build_space(build_crisscross_mesh(4), "p2nc_interp")
+    step = len(next(element_blocks(space))[1])
+    key = space.shape + (space.shape.max() + 1) * (np.arange(space.n_elements) > step)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))      # ids by first appearance
+    split = dataclasses.replace(space, shape=rank[inverse])
+    assert len(first) == 8
+    _assert_same_outputs(split, dataclasses.replace(space, shape=np.arange(space.n_elements)))
+
+
+def test_each_shape_tabulated_once_per_rule(monkeypatch):
+    counts = {}
+
+    def counting(name, original):
+        def wrapper(coeffs, k, *args):
+            at = args[-1]
+            assert isinstance(at, QuadRule)       # the rule's cached Bernstein tables
+            key = (name, at.exactness_degree)
+            counts[key] = counts.get(key, 0) + len(coeffs)
+            return original(coeffs, k, *args)
+        return wrapper
+
+    for name in ("block_values", "block_gradients"):
+        monkeypatch.setattr(igfem.elements, name,
+                            counting(name, getattr(igfem.elements, name)))
+    space = build_space(build_crisscross_mesh(4), "p2nc_interp")
+    assert space.n_elements == 256 and len(list(element_blocks(space))) > 2
+    system = assemble_system(space, f=SINE.f)
+    u = FeFunction.from_dofs(space, np.zeros(space.dof_map.n_free), system.interp_coeffs)
+    error_norms(u, SINE)
+    # stiffness gradients, load values, norm values and norm gradients
+    assert len(counts) == 4
+    assert all(0 < n <= 4 for n in counts.values()), counts
+
+
+def test_cached_bernstein_tables_match_fresh_ones():
+    degrees = {d for k in range(1, 9) for d in (
+        stiffness_rule_degree(k), load_rule_degree(k), norm_rule_degree(k),
+        min(2 * k, MAX_QUAD_DEGREE))}
+    for rule_degree in sorted(degrees):
+        rule = make_quad_rule(rule_degree)
+        for k in range(9):
+            table = rule.bernstein(k)
+            assert not table.flags.writeable and table.flags.c_contiguous
+            assert _equal_bits(table, bernstein_values(k, rule.points))
+            assert rule.bernstein(k) is table

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from igfem.assembly import assemble_system, build_space
 from igfem.cli import PROBLEMS
 from igfem.mesh import build_crisscross_mesh
-from igfem.solver import SolverError, cg_solve, estimate_condition
+from igfem.solver import SolverError, _power_iteration, cg_solve, estimate_condition
 
 
 def random_spd(rng, n, cond=100.0):
@@ -178,6 +178,48 @@ def test_interpolated_family_better_conditioned():
             assert est.condition == pytest.approx(ew[-1] / ew[0], rel=0.02), (family, k)
             kappa.append(est.condition)
         assert kappa[0] < kappa[1], (interp, lagrange, kappa)
+
+
+def _two_matvec_power_iteration(A, rng, tol=1e-8, max_iter=20000):
+    """Power iteration with a fresh A @ v for the Rayleigh quotient of every
+    step; returns (lambda_max, converged, number of products with A)."""
+    v = rng.standard_normal(A.shape[0])
+    v /= np.linalg.norm(v)
+    rho, matvecs = 0.0, 0
+    for _ in range(max_iter):
+        w = A @ v
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0, True, matvecs + 1
+        v = w / nw
+        rho_new = v @ (A @ v)
+        matvecs += 2
+        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
+            return rho_new, True, matvecs
+        rho = rho_new
+    return rho, False, matvecs
+
+
+class _CountingMatrix:
+    def __init__(self, A):
+        self.A, self.shape, self.matvecs = A, A.shape, 0
+
+    def __matmul__(self, v):
+        self.matvecs += 1
+        return self.A @ v
+
+
+@pytest.mark.parametrize("family,level", [(f, lv) for f in ("p2nc_interp", "p2nc_std")
+                                          for lv in (2, 3, 4)] + [("p3_interp", 3)])
+def test_power_iteration_reuses_its_rayleigh_product(family, level):
+    A = _sine_matrix(family, None, level)
+    counting = _CountingMatrix(A)
+    lam, ok = _power_iteration(counting, np.random.default_rng(0))
+    ref_lam, ref_ok, ref_matvecs = _two_matvec_power_iteration(A, np.random.default_rng(0))
+    assert ok and ref_ok
+    assert np.float64(lam).view(np.int64) == np.float64(ref_lam).view(np.int64)
+    # one product per step, plus the first
+    assert counting.matvecs == ref_matvecs // 2 + 1
 
 
 def test_csr_from_coo_sums_duplicates():
