@@ -3,7 +3,8 @@ estimation for condition reporting.
 
 The assembled systems are symmetric positive definite; the standard
 nonconforming baseline is nearly singular (smallest eigenvalue about 1e-10
-at level 5), which plain inverse iteration resolves.
+at level 5, diagonal from 4e-8 to 5), which inverse iteration with
+Jacobi-preconditioned CG resolves.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ class SolverError(RuntimeError):
 
 
 def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
-             max_iter: int | None = None, jacobi_precondition: bool = True,
-             callback=None) -> tuple[np.ndarray, SolveStats]:
-    """Conjugate gradients from a zero initial guess.
+             max_iter: int | None = None, callback=None) -> tuple[np.ndarray, SolveStats]:
+    """Jacobi-preconditioned conjugate gradients from a zero initial guess.
 
     Stops when ||A x - F|| <= rel_tol * ||F||.  Raises SolverError when
     max_iter (default 20 n) is exhausted first.
@@ -56,16 +56,13 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     if norm_f == 0.0:
         return np.zeros(n), SolveStats(0, 0.0)
 
-    if jacobi_precondition:
-        d = A.diagonal().copy()
-        d[d <= 0.0] = 1.0
-        inv_d = 1.0 / d
-    else:
-        inv_d = None
+    d = A.diagonal().copy()
+    d[d <= 0.0] = 1.0
+    inv_d = 1.0 / d
 
     x = np.zeros(n)
     r = F.copy()
-    z = r * inv_d if inv_d is not None else r
+    z = r * inv_d
     p = z.copy()
     rz = r @ z
     min_res, best_x, best_it = np.inf, x.copy(), 0
@@ -94,11 +91,9 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
         if res < min_res:
             min_res, best_it = res, it
             best_x = x.copy()
-        elif res > 1e4 * max(min_res, rel_tol):
-            fail(it, "divergence")   # inconsistent RHS blows CG up
         elif it - best_it >= stall_window:
             fail(it, "stagnation")   # residual floored above the tolerance
-        z = r * inv_d if inv_d is not None else r
+        z = r * inv_d
         rz_new = r @ z
         beta = rz_new / rz
         p = z + beta * p
@@ -137,27 +132,26 @@ def _power_iteration(A: sp.csr_array, rng, tol=1e-8, max_iter=20000):
 def estimate_condition(A: sp.csr_array, seed: int = 0) -> ConditionEstimate:
     """Extreme-eigenvalue estimates of a symmetric positive definite matrix.
 
-    Power iteration for the largest eigenvalue; inverse iteration, with CG
-    applying A^-1, for the smallest.  Each stops when its Rayleigh quotient
-    settles; a smallest eigenvalue that does not settle in 400 steps is
-    reported as NaN.
+    Power iteration for the largest eigenvalue; inverse iteration, with
+    Jacobi-preconditioned CG applying A^-1, for the smallest.  Each stops
+    when its Rayleigh quotient settles.  The smallest eigenvalue is reported
+    as NaN (and the estimate as not converged) when it does not settle in
+    400 steps, or when a CG solve fails: such a step does not apply A^-1.
+    A singular A ends that way, since preconditioned CG does not keep its
+    iterates in range(A) and the system of the next step is inconsistent.
     """
     if A.shape[0] == 0:
         raise ValueError("cannot estimate the condition of an empty matrix")
     rng = np.random.default_rng(seed)
     lam_max, ok_max = _power_iteration(A, rng)
-    # A @ random lies in range(A), and unpreconditioned CG keeps its Krylov
-    # iterates there, so a null direction of a singular A is never amplified
     v = A @ rng.standard_normal(A.shape[0])
     v = v / np.linalg.norm(v)
     lam_min = rho = np.nan
     for _ in range(400):
         try:
-            y, _ = cg_solve(A, v, rel_tol=1e-9, max_iter=max(30 * A.shape[0], 300),
-                            jacobi_precondition=False)
-        except SolverError as err:
-            # the best iterate is still an inexact application of A^-1
-            y = err.x
+            y, _ = cg_solve(A, v, rel_tol=1e-9, max_iter=max(30 * A.shape[0], 300))
+        except SolverError:
+            break
         v = y / np.linalg.norm(y)
         rho_new = v @ (A @ v)
         if abs(rho_new - rho) <= 1e-7 * rho_new:
