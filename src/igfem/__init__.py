@@ -6,8 +6,7 @@ Galerkin system is solved only for the inter-element boundary unknowns.
 """
 
 from .mesh import Mesh, build_crisscross_mesh
-from .poly import BPoly, QuadRule, TriGeom, bpoly_eval, bpoly_grad, \
-    bpoly_from_point_values, bpoly_laplacian, make_quad_rule
+from .poly import QuadRule, make_quad_rule
 from .elements import build_fs_bubble, build_lagrange_basis, \
     build_p2c_macro_basis, build_p2nc_element, build_p3_basis, build_pk_basis, \
     gram_schmidt_pj

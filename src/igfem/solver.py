@@ -30,12 +30,11 @@ class SolveStats:
 
 
 class SolverError(RuntimeError):
-    """CG failed to reach the requested tolerance; carries stats and the best iterate."""
+    """CG failed to reach the requested tolerance; carries its stats."""
 
-    def __init__(self, message, stats: SolveStats, x: np.ndarray):
+    def __init__(self, message, stats: SolveStats):
         super().__init__(message)
         self.stats = stats
-        self.x = x
 
 
 def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
@@ -65,14 +64,14 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     z = r * inv_d
     p = z.copy()
     rz = r @ z
-    min_res, best_x, best_it = np.inf, x.copy(), 0
+    min_res, best_it = np.inf, 0
     stall_window = max(200, n // 4)
 
     def fail(it, why):
         stats = SolveStats(it, min_res)
         raise SolverError(
             f"CG did not reach rel_tol={rel_tol:g} in {it} iterations "
-            f"({why}, best residual {min_res:.3e})", stats, best_x)
+            f"({why}, best residual {min_res:.3e})", stats)
 
     for it in range(1, max_iter + 1):
         Ap = A @ p
@@ -90,7 +89,6 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
             return x, SolveStats(it, res)
         if res < min_res:
             min_res, best_it = res, it
-            best_x = x.copy()
         elif it - best_it >= stall_window:
             fail(it, "stagnation")   # residual floored above the tolerance
         z = r * inv_d

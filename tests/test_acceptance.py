@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 import oracle
+from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_grad, bpoly_laplacian
 from igfem.analysis import error_norms, FeFunction, interpolate_exact
 from igfem.assembly import assemble_system, build_dof_map, build_space
 from igfem.cli import ExperimentConfig, PROBLEMS, fixed_sci, run_experiment
@@ -26,8 +27,7 @@ from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             build_p2c_macro_basis, build_p3_basis, build_pk_basis,
                             laplacian_operator)
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
-from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval, bpoly_grad,
-                        bpoly_laplacian, make_quad_rule, multi_indices, num_coeffs)
+from igfem.poly import bernstein_values, make_quad_rule, multi_indices, num_coeffs
 from igfem.solver import cg_solve, estimate_condition
 
 _SWEEPS = {}

@@ -3,6 +3,7 @@ import pytest
 
 import math
 
+from bpoly import TriGeom, domain_points
 from igfem.analysis import (FeFunction, convergence_orders, error_norms,
                             interpolate_exact)
 from igfem.assembly import assemble_system, build_space, interior_coefficients, \
@@ -10,7 +11,7 @@ from igfem.assembly import assemble_system, build_space, interior_coefficients, 
 from igfem.cli import PROBLEMS
 from igfem.elements import block_gradients, block_values, laplacian_operator
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
-from igfem.poly import TriGeom, domain_points, make_quad_rule
+from igfem.poly import make_quad_rule
 from igfem.solver import cg_solve
 
 SINE = PROBLEMS["sine"]

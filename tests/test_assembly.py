@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_laplacian
 import igfem.assembly
 import igfem.elements
 from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
@@ -13,8 +14,8 @@ from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             laplacian_operator)
 from igfem.mesh import build_crisscross_mesh
-from igfem.poly import (BPoly, MAX_QUAD_DEGREE, QuadRule, TriGeom, bernstein_values,
-                        bpoly_eval, bpoly_laplacian, make_quad_rule, num_coeffs)
+from igfem.poly import (MAX_QUAD_DEGREE, QuadRule, bernstein_values, make_quad_rule,
+                        num_coeffs)
 from igfem.solver import cg_solve
 from igfem.cli import PROBLEMS
 from igfem.analysis import FeFunction, error_norms, interpolate_exact

@@ -229,7 +229,7 @@ def test_main_exit_codes(tmp_path):
 def test_solver_failure_is_logged(monkeypatch, caplog, capsys):
     def failing_cg(A, F, rel_tol):
         stats = SolveStats(iterations=7, relative_residual=1e-3)
-        raise SolverError("no convergence", stats, np.zeros_like(F))
+        raise SolverError("no convergence", stats)
 
     monkeypatch.setattr(igfem.cli, "cg_solve", failing_cg)
     with caplog.at_level(logging.WARNING, logger="igfem.cli"):

@@ -3,6 +3,8 @@ import pytest
 
 from math import factorial
 
+from bpoly import (BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
+                   bpoly_laplacian, domain_points)
 from igfem.assembly import (block_size, build_space, load_rule_degree, norm_rule_degree,
                             stiffness_rule_degree)
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
@@ -11,9 +13,7 @@ from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             build_p2nc_element, build_p3_basis, build_pk_basis,
                             gram_schmidt_pj, laplacian_operator, slot_layout)
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
-from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval,
-                        bpoly_grad, bpoly_laplacian, bpoly_from_point_values,
-                        domain_points, make_quad_rule, multi_indices, num_coeffs,
+from igfem.poly import (bernstein_values, make_quad_rule, multi_indices, num_coeffs,
                         MAX_QUAD_DEGREE, _collocation_inverse, _reduction_maps)
 
 REF = TriGeom.from_vertices([(0, 0), (1, 0), (0, 1)])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from igfem.poly import (BPoly, TriGeom, bernstein_values, bpoly_eval,
-                        bpoly_from_point_values, bpoly_grad, bpoly_laplacian,
-                        domain_points, make_quad_rule, multi_indices, num_coeffs)
+from bpoly import (BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
+                   bpoly_laplacian, domain_points)
+from igfem.elements import block_gradients, laplacian_operator
+from igfem.poly import (bernstein_values, make_quad_rule, multi_indices, num_coeffs,
+                        triangle_geometry)
 
 REF = TriGeom.from_vertices([(0, 0), (1, 0), (0, 1)])
 
@@ -38,7 +40,7 @@ def test_trigeom_invariants():
 
 def test_trigeom_rejects_degenerate():
     with pytest.raises(ValueError):
-        TriGeom.from_vertices([(0, 0), (1, 0), (2, 0)])
+        triangle_geometry([(0, 0), (1, 0), (2, 0)])
 
 
 def test_partition_of_unity():
@@ -94,6 +96,8 @@ def test_laplacian_of_elevated_linear_is_zero():
 def test_laplacian_rejects_low_degree():
     with pytest.raises(ValueError):
         bpoly_laplacian(BPoly(1, np.zeros(3), REF))
+    with pytest.raises(ValueError):
+        laplacian_operator(1, REF.grad_lambda[None])
 
 
 def test_from_point_values_constant():
@@ -154,14 +158,27 @@ def test_quad_rule_exactness_degree_covers_request():
         assert make_quad_rule(d).exactness_degree >= d
 
 
-def test_gradient_matches_finite_differences():
+def _batched_grad(p: BPoly, bary) -> np.ndarray:
+    """bpoly_grad at one point through the element pass's block_gradients."""
+    return block_gradients(p.coeffs[None, None], p.degree, p.geom.grad_lambda[None],
+                           bary[None])[0, 0, 0]
+
+
+def _batched_laplacian(p: BPoly) -> BPoly:
+    """bpoly_laplacian through the element pass's laplacian_operator."""
+    op = laplacian_operator(p.degree, p.geom.grad_lambda[None])[0]
+    return BPoly(p.degree - 2, op @ p.coeffs, p.geom)
+
+
+@pytest.mark.parametrize("gradient", [bpoly_grad, _batched_grad], ids=["reference", "batched"])
+def test_gradient_matches_finite_differences(gradient):
     rng = np.random.default_rng(4)
     for k in (1, 2, 4, 6, 8):
         g = random_geom(rng)
         p = BPoly(k, rng.normal(size=num_coeffs(k)), g)
         for bary in random_bary(rng, 4):
             x0 = bary @ g.vertices
-            grad = bpoly_grad(p, bary)
+            grad = gradient(p, bary)
             eps = 1e-6 * g.diameter
             fd = np.zeros(2)
             for d in range(2):
@@ -174,12 +191,14 @@ def test_gradient_matches_finite_differences():
             assert np.allclose(grad, fd, atol=1e-6 * scale)
 
 
-def test_laplacian_matches_finite_differences():
+@pytest.mark.parametrize("laplacian", [bpoly_laplacian, _batched_laplacian],
+                         ids=["reference", "batched"])
+def test_laplacian_matches_finite_differences(laplacian):
     rng = np.random.default_rng(5)
     for k in (2, 3, 5, 8):
         g = random_geom(rng)
         p = BPoly(k, rng.normal(size=num_coeffs(k)), g)
-        lap = bpoly_laplacian(p)
+        lap = laplacian(p)
         for bary in random_bary(rng, 3):
             x0 = bary @ g.vertices
             eps = 1e-4 * g.diameter

@@ -60,7 +60,6 @@ def test_max_iter_failure_carries_stats():
         cg_solve(A, F, rel_tol=1e-14, max_iter=3)
     assert err.value.stats.iterations == 3
     assert err.value.stats.relative_residual > 1e-14
-    assert err.value.x.shape == (40,)
 
 
 def test_energy_error_monotone():
