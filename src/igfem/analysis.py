@@ -123,16 +123,16 @@ def error_norms(a, *bs) -> tuple[float, ...]:
     tables = [x.coeffs if isinstance(x, FeFunction) else None for x in sides]
     # L2 and H1 terms of every pair, per (element, part)
     sq = np.zeros((len(bs), 2) + space.area.shape)
-    for s, verts, area, shape_tables in shape_blocks(space, tabulate):
+    for e, verts, area, shape_tables in shape_blocks(space, tabulate):
         for part in parts:
             vals, grads = shape_tables[2 * part:2 * part + 2]
             xy = rule.points @ verts[:, part]
-            (va, ga), *rest = [_block_eval(x, None if t is None else t[s], vals, grads, xy)
+            (va, ga), *rest = [_block_eval(x, None if t is None else t[e], vals, grads, xy)
                                for x, t in zip(sides, tables)]
             w = (rule.weights * area[:, part, None])[:, None, :]     # (B, 1, P)
             for i, (vb, gb) in enumerate(rest):
-                sq[i, 0, s, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
-                sq[i, 1, s, part] = (w @ np.sum((ga - gb) ** 2, axis=2)[:, :, None])[:, 0, 0]
+                sq[i, 0, e, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
+                sq[i, 1, e, part] = (w @ np.sum((ga - gb) ** 2, axis=2)[:, :, None])[:, 0, 0]
     # added in element order, as a loop over the elements adds them
     sums = np.cumsum(sq.reshape(2 * len(bs), -1), axis=1)[:, -1]
     return tuple(math.sqrt(abs(v)) for v in sums)

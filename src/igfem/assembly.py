@@ -255,47 +255,39 @@ def _shape_index(basis, grad_lambda, area) -> np.ndarray:
 
 
 def element_blocks(space: Space):
-    """Blocks of consecutive elements as (slice, basis (B, nb, parts, nc),
-    vertices (B, parts, 3, 2), grad_lambda (B, parts, 3, 2), area (B, parts))."""
+    """Blocks of elements in shape order as (element ids (B,), basis (B, nb, parts,
+    nc), vertices (B, parts, 3, 2), grad_lambda (B, parts, 3, 2), area (B, parts)).
+
+    The passes write only per-element outputs and add them up in element
+    order afterwards, so the order of the walk does not change a bit."""
     step = block_size(space.k, *space.basis.shape[1:3])      # nb, parts
+    order = np.argsort(space.shape, kind="stable")
     for start in range(0, space.n_elements, step):
-        s = slice(start, start + step)
-        yield s, space.basis[s], space.verts[s], space.grad_lambda[s], space.area[s]
+        e = order[start:start + step]
+        yield e, space.basis[e], space.verts[e], space.grad_lambda[e], space.area[e]
 
 
 def shape_blocks(space: Space, tabulate):
-    """element_blocks with per-element tables: yields (slice, vertices, area,
-    tables), where tables are the arrays tabulate(basis, grad_lambda, area)
-    returns, each with a leading axis over the block's elements.
+    """element_blocks with per-element tables: yields (element ids, vertices,
+    area, tables), where tables are the arrays tabulate(basis, grad_lambda,
+    area) returns, each with a leading axis over the block's elements.
 
-    tabulate runs once per shape, on the shape's first element; its rows are
-    kept for the shape's later elements and dropped after its last one.  An
-    element's rows do not depend on the other elements tabulated with it, so
-    the tables equal those of tabulating every element, bit for bit.
+    tabulate runs once per shape, on its first element in the walk.  The walk
+    is in shape order, so a shape's elements are consecutive: only the last
+    shape of a block can go on into the next one, and its one row is carried.
+    An element's rows do not depend on the other elements tabulated with it,
+    so the tables equal those of tabulating every element, bit for bit.
     """
-    shape = space.shape
-    first = np.unique(shape, return_index=True)[1]
-    last = len(shape) - 1 - np.unique(shape[::-1], return_index=True)[1]
-    kept_ids, kept = shape[:0], None           # rows of shapes met and not yet done
-    for s, basis, verts, grad_lambda, area in element_blocks(space):
-        block = shape[s]
-        stop = s.start + len(block)
-        new = np.flatnonzero(first[block] == np.arange(s.start, stop))
-        if len(new) == len(block):             # every element starts its shape
-            ids, rows = block, tabulate(basis, grad_lambda, area)
-            tables = rows
-        else:
-            ids, rows = kept_ids, kept
-            if len(new):
-                fresh = tabulate(basis[new], grad_lambda[new], area[new])
-                # shape ids grow with first appearance, so ids stay sorted
-                ids = np.concatenate([kept_ids, block[new]])
-                rows = fresh if kept is None else tuple(map(np.concatenate, zip(kept, fresh)))
-            at = np.searchsorted(ids, block)
-            tables = tuple(t[at] for t in rows)
-        more = last[ids] >= stop
-        kept_ids, kept = ids[more], (tuple(t[more] for t in rows) if more.any() else None)
-        yield s, verts, area, tables
+    last_id, carried = None, None
+    for e, basis, verts, grad_lambda, area in element_blocks(space):
+        ids, first, at = np.unique(space.shape[e], return_index=True, return_inverse=True)
+        carry = ids[0] == last_id                # the previous block's last shape
+        new = first[1:] if carry else first
+        rows = tabulate(basis[new], grad_lambda[new], area[new]) if len(new) else None
+        if carry:
+            rows = carried if rows is None else tuple(map(np.concatenate, zip(carried, rows)))
+        last_id, carried = ids[-1], tuple(t[-1:] for t in rows)
+        yield e, verts, area, tuple(t[at] for t in rows)
 
 
 def interior_coefficients(space: Space, f) -> np.ndarray:
@@ -313,14 +305,14 @@ def interior_coefficients(space: Space, f) -> np.ndarray:
     bv = rule.bernstein(3) @ el.BUBBLE
     low = rule.bernstein(space.k - 3)
     c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
-    for s, _, verts, _, area in element_blocks(space):
-        pj = space.moments[s]
+    for e, _, verts, _, area in element_blocks(space):
+        pj = space.moments[e]
         xy = rule.points @ verts[:, 0]
         fv = f(xy[..., 0], xy[..., 1])
         w = rule.weights * area
         for j in range(pj.shape[1]):
             pv = (low @ pj[:, j, :, None])[..., 0]            # one gemv per p_j
-            c[s, j] = (-(w * bv * pv)[:, None, :] @ fv[:, :, None])[:, 0, 0]
+            c[e, j] = (-(w * bv * pv)[:, None, :] @ fv[:, :, None])[:, 0, 0]
     return c
 
 
@@ -361,12 +353,12 @@ def assemble_system(space: Space, f) -> SparseSystem:
 
     S = np.empty(dm.dofs.shape + dm.dofs.shape[1:])       # (E, nb, nb)
     L = np.zeros(dm.dofs.shape)                           # (E, nb)
-    for s, verts, _, (S_block, *av) in shape_blocks(space, tabulate):
-        S[s] = S_block
+    for e, verts, _, (S_block, *av) in shape_blocks(space, tabulate):
+        S[e] = S_block
         for part in parts:
             xy = load_rule.points @ verts[:, part]
             fv = f(xy[..., 0], xy[..., 1])
-            L[s] += (av[part] @ (load_rule.weights * fv)[:, :, None])[..., 0]
+            L[e] += (av[part] @ (load_rule.weights * fv)[:, :, None])[..., 0]
     c = interior_coefficients(space, f)                   # (E, n_interp)
 
     # The order of the COO entries (element, local row, local column) and of

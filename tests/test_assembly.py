@@ -474,7 +474,8 @@ def test_shape_index_tells_signed_zeros_apart():
 
 _SHARED_CASES = [("p2nc_interp", None, 5, 0.0), ("p2nc_std", None, 5, 0.0),
                  ("p2c_interp", None, 4, 0.0), ("p3_interp", None, 4, 0.0),
-                 ("pk_lagrange", 8, 3, 0.0), ("pk_lagrange", 2, 4, 0.2)]
+                 ("pk_lagrange", 8, 3, 0.0), ("pk_lagrange", 2, 4, 0.2),
+                 ("pk_interp", 4, 4, 0.0), ("pk_interp", 5, 3, 0.0)]
 
 
 def _pass_outputs(space):
@@ -495,7 +496,8 @@ def _assert_same_outputs(space, ref_space):
 
 
 @pytest.mark.parametrize("family,k,level,perturb", _SHARED_CASES,
-                         ids=[f"{c[0]}-{c[2]}" for c in _SHARED_CASES])
+                         ids=[f"{c[0]}-k{c[1]}-{c[2]}" if c[0] == "pk_interp"
+                              else f"{c[0]}-{c[2]}" for c in _SHARED_CASES])
 def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, level, perturb):
     space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
     # the same space with every element its own shape tabulates every element
@@ -504,17 +506,20 @@ def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, leve
 
 
 def test_shared_tables_kept_up_to_a_block_boundary():
-    # split every shape after the first element of the second block, so that
-    # shapes end exactly where a block starts and others start there
+    # split every shape at position step + cut of the shape-order walk: there a
+    # run ends exactly at the first block boundary and nothing is carried
+    # (cut 0), or a run starts at the first block's last element and is
+    # carried into the second block (cut -1)
     space = build_space(build_crisscross_mesh(4), "p2nc_interp")
+    own = dataclasses.replace(space, shape=np.arange(space.n_elements))
     step = len(next(element_blocks(space))[1])
-    key = space.shape + (space.shape.max() + 1) * (np.arange(space.n_elements) > step)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))      # ids by first appearance
-    split = dataclasses.replace(space, shape=rank[inverse])
-    assert len(first) == 8
-    _assert_same_outputs(split, dataclasses.replace(space, shape=np.arange(space.n_elements)))
+    for cut, carried in ((0, False), (-1, True)):
+        late = np.empty(space.n_elements, dtype=np.int64)
+        late[np.argsort(space.shape, kind="stable")] = np.arange(space.n_elements) >= step + cut
+        split = dataclasses.replace(space, shape=space.shape + (space.shape.max() + 1) * late)
+        walk = np.sort(split.shape)
+        assert len(np.unique(walk)) == 5 and (walk[step - 1] == walk[step]) == carried
+        _assert_same_outputs(split, own)
 
 
 def test_each_shape_tabulated_once_per_rule(monkeypatch):

@@ -188,7 +188,7 @@ def test_gradient_matches_finite_differences(gradient):
                 fd[d] = (bpoly_eval(p, g.to_barycentric(xp))
                          - bpoly_eval(p, g.to_barycentric(xm))) / (2 * eps)
             scale = max(1.0, np.linalg.norm(grad))
-            assert np.allclose(grad, fd, atol=1e-6 * scale)
+            assert np.allclose(grad, fd, rtol=0.0, atol=1e-6 * scale)
 
 
 @pytest.mark.parametrize("laplacian", [bpoly_laplacian, _batched_laplacian],

@@ -39,6 +39,8 @@ def test_against_dense_oracle():
     x, stats = cg_solve(A, F, rel_tol=1e-13)
     dense = np.linalg.solve(A.toarray(), F)
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+    # the reported residual is the true one, not CG's recursively updated one
+    assert stats.relative_residual == np.linalg.norm(F - A @ x) / np.linalg.norm(F)
     assert stats.relative_residual <= 1e-13
 
 
