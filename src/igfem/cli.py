@@ -382,7 +382,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", action="store_true",
                    help="estimate extreme eigenvalues of each system")
     p.add_argument("--tol", type=float, default=1e-13,
-                   help="CG relative residual tolerance")
+                   help="CG stops when its recursively updated residual is below "
+                        "TOL * ||F||; the true residual (cg_residual) may read higher")
     return p
 
 

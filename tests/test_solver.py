@@ -8,7 +8,7 @@ import igfem.solver
 from igfem.assembly import assemble_system, build_space
 from igfem.cli import PROBLEMS
 from igfem.mesh import build_crisscross_mesh
-from igfem.solver import SolverError, _power_iteration, cg_solve, estimate_condition
+from igfem.solver import SolverError, _lanczos_max, _top_ritz, cg_solve, estimate_condition
 
 
 def random_spd(rng, n, cond=100.0):
@@ -189,26 +189,6 @@ def test_interpolated_family_better_conditioned():
         assert kappa[0] < kappa[1], (interp, lagrange, kappa)
 
 
-def _two_matvec_power_iteration(A, rng, tol=1e-8, max_iter=20000):
-    """Power iteration with a fresh A @ v for the Rayleigh quotient of every
-    step; returns (lambda_max, converged, number of products with A)."""
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    rho, matvecs = 0.0, 0
-    for _ in range(max_iter):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True, matvecs + 1
-        v = w / nw
-        rho_new = v @ (A @ v)
-        matvecs += 2
-        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
-            return rho_new, True, matvecs
-        rho = rho_new
-    return rho, False, matvecs
-
-
 class _CountingMatrix:
     def __init__(self, A):
         self.A, self.shape, self.matvecs = A, A.shape, 0
@@ -218,17 +198,52 @@ class _CountingMatrix:
         return self.A @ v
 
 
+@pytest.mark.parametrize("coupling", [1e-6, 1e-3, 1.0, 10.0])
+def test_top_ritz_matches_dense_eigh(coupling):
+    # weak couplings give top eigenvectors whose first or last components
+    # underflow, where back substitution from one end alone goes wrong
+    rng = np.random.default_rng(13)
+    for j in [1, 2, 3] + list(rng.integers(4, 120, size=40)):
+        alpha = list(3.0 * rng.normal(size=j))
+        beta = list(coupling * rng.random(j - 1) + 1e-12)
+        theta, u_last = _top_ritz(alpha, beta)
+        ew, ev = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        assert abs(theta - ew[-1]) <= 1e-14 * np.abs(ew).max()
+        if j == 1 or ew[-1] - ew[-2] > 1e-8:      # else the eigenvector is ill-posed
+            assert abs(u_last - abs(ev[-1, -1])) <= 1e-9, (j, u_last, ev[-1, -1])
+
+
 @pytest.mark.parametrize("family,level", [(f, lv) for f in ("p2nc_interp", "p2nc_std")
                                           for lv in (2, 3, 4)] + [("p3_interp", 3)])
-def test_power_iteration_reuses_its_rayleigh_product(family, level):
+def test_lanczos_finds_lambda_max_in_few_products(family, level):
+    # 15-140 products suffice here; the bound guards the cost of the stop test
     A = _sine_matrix(family, None, level)
     counting = _CountingMatrix(A)
-    lam, ok = _power_iteration(counting, np.random.default_rng(0))
-    ref_lam, ref_ok, ref_matvecs = _two_matvec_power_iteration(A, np.random.default_rng(0))
-    assert ok and ref_ok
-    assert np.float64(lam).view(np.int64) == np.float64(ref_lam).view(np.int64)
-    # one product per step, plus the first
-    assert counting.matvecs == ref_matvecs // 2 + 1
+    lam, ok = _lanczos_max(counting, np.random.default_rng(0).standard_normal(A.shape[0]))
+    assert ok
+    assert abs(lam - np.linalg.eigvalsh(A.toarray())[-1]) <= 1e-12 * lam
+    assert counting.matvecs <= 150
+
+
+@pytest.mark.parametrize("family", ["p2nc_std", "p2nc_interp"])
+def test_condition_ends_on_a_tight_solve(monkeypatch, family):
+    # the early inverse-iteration solves are loose; the Rayleigh quotient the
+    # estimate reports must come from a solve at the final 1e-9
+    A = _sine_matrix(family, None, 4)
+    steps = []
+
+    def recording_cg(A, v, rel_tol, **kwargs):
+        x, stats = cg_solve(A, v, rel_tol=rel_tol, **kwargs)
+        y = x / np.linalg.norm(x)
+        steps.append((rel_tol, y @ (A @ y)))
+        return x, stats
+
+    monkeypatch.setattr(igfem.solver, "cg_solve", recording_cg)
+    est = estimate_condition(A)
+    assert est.converged
+    assert steps[0][0] > 1e-9          # the first solve is loose
+    assert steps[-1] == (1e-9, est.lambda_min_nonzero)
+    assert all(tol >= later for (tol, _), (later, _) in zip(steps, steps[1:]))
 
 
 def test_csr_from_coo_sums_duplicates():
