@@ -69,7 +69,7 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
             # same function in the plain-nodal basis: the bubble picks up the
             # nodal functions' Laplacian content; the Bernstein quadratic of
             # e_i + e_j has Laplacian (2 if i == j else 4) grad l_i . grad l_j
-            g = space.grad_lambda[:, 0]
+            g = space.grad_lambda[space.shape, 0]
             i, j = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]).T
             lap = np.where(i == j, 2.0, 4.0) * np.sum(g[:, i] * g[:, j], axis=2)
             bubble = np.sum(a * (lap @ _collocation_inverse(2)), axis=1) + bubble
@@ -122,7 +122,7 @@ def error_norms(a, *bs) -> tuple[float, ...]:
 
     tables = [x.coeffs if isinstance(x, FeFunction) else None for x in sides]
     # L2 and H1 terms of every pair, per (element, part)
-    sq = np.zeros((len(bs), 2) + space.area.shape)
+    sq = np.zeros((len(bs), 2, space.n_elements, space.area.shape[1]))
     for e, verts, area, shape_tables in shape_blocks(space, tabulate):
         for part in parts:
             vals, grads = shape_tables[2 * part:2 * part + 2]

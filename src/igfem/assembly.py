@@ -157,31 +157,32 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
 
 @dataclass
 class Space:
-    """Mesh + family + the local bases of all elements + global DOF map.
+    """Mesh + family + the local bases of its element classes + global DOF map.
 
     Element e (a triangle, or a macro square for p2c) has parts p, the
-    triangles its basis is polynomial on; `basis[e, i, p]` holds the
-    Bernstein coefficients of basis function i on part p.  Elements with
-    the same `shape` have the same basis, grad_lambda and area bits, so the
-    element passes tabulate each shape once.
+    triangles its basis is polynomial on.  Its class `shape[e]` holds the
+    elements with its grad_lambda and area bytes (for pk_interp, e alone).
+    `basis`, `grad_lambda`, `area` and `moments` hold one row per class,
+    built on its first element: `basis[shape[e], i, p]` holds the Bernstein
+    coefficients of basis function i of element e on part p.
     """
 
     mesh: Mesh
     family: str
     k: int
     dof_map: DofMap
-    basis: np.ndarray               # (E, nb, parts, nc), C-contiguous
+    basis: np.ndarray               # (S, nb, parts, nc), C-contiguous
     verts: np.ndarray               # (E, parts, 3, 2)
-    grad_lambda: np.ndarray         # (E, parts, 3, 2)
-    area: np.ndarray                # (E, parts)
+    grad_lambda: np.ndarray         # (S, parts, 3, 2)
+    area: np.ndarray                # (S, parts)
     node_xy: np.ndarray             # (E, n_node, 2) points of the node slots
     lap_xy: np.ndarray | None       # (E, 2) Laplacian points: p2c, p2nc, p3
-    moments: np.ndarray | None      # (E, d, nc_{k-3}) pk_interp: orthonormal p_j
-    shape: np.ndarray               # (E,) shape index, see _shape_index
+    moments: np.ndarray | None      # (S, d, nc_{k-3}) pk_interp: orthonormal p_j
+    shape: np.ndarray               # (E,) class of every element
 
     @property
     def n_elements(self) -> int:
-        return len(self.basis)
+        return len(self.shape)
 
 
 BLOCK_BYTES = 256 * 1024   # per block's gradient table; larger blocks raise peak memory
@@ -197,66 +198,62 @@ def block_size(k: int, nb: int, parts: int) -> int:
 def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     k = resolve_degree(family, k)
     dof_map = build_dof_map(mesh, family, k)
-    lap_xy = moments = None
+    lap_xy = None
     if family == "p2c_interp":
         corners = mesh.vertices[mesh.macro_corners]                 # (M, 4, 2)
         lap_xy = mesh.vertices[mesh.macro_centers]
-        basis = el.build_p2c_macro_basis(corners, lap_xy)
         verts = np.stack([corners, np.roll(corners, -1, axis=1),
                           np.repeat(lap_xy[:, None], 4, axis=1)], axis=2)
     else:
         corners = mesh.vertices[mesh.triangles]                     # (T, 3, 2)
         verts = corners[:, None]
-        if family == "pk_interp":
-            basis = np.empty((len(corners), num_coeffs(k), 1, num_coeffs(k)))
-            moments = np.empty((len(corners), num_coeffs(k - 3), num_coeffs(k - 3)))
-            step = block_size(k, num_coeffs(k), 1)
-            for start in range(0, len(corners), step):
-                s = slice(start, start + step)
-                basis[s], moments[s] = el.build_pk_basis(corners[s], k)
-        elif family == "pk_lagrange":
-            basis = el.build_lagrange_basis(corners, k)
-        elif family == "p3_interp":
-            basis = el.build_p3_basis(corners)
-        else:
-            basis = el.build_p2nc_element(corners, standard=family == "p2nc_std")
         if family in ("p2nc_interp", "p2nc_std", "p3_interp"):
             lap_xy = corners.mean(axis=1)
     grad_lambda, area = triangle_geometry(verts)
-    alphas, _ = el.slot_layout(family, k)
+    if family == "pk_interp":      # its Gram-Schmidt reads absolute coordinates
+        shape = first = np.arange(len(area))
+    else:
+        shape, first = _classes(grad_lambda, area)
+    # every builder's bits are independent of the elements built with it
+    alphas, n_interior = el.slot_layout(family, k)
+    nb, parts = len(alphas) + n_interior, verts.shape[1]
+    basis = np.empty((len(first), nb, parts, num_coeffs(k)))
+    moments = np.empty((len(first), n_interior, n_interior)) if family == "pk_interp" else None
+    step = block_size(k, nb, parts)
+    for start in range(0, len(first), step):
+        s = slice(start, start + step)
+        rep = corners[first[s]]
+        if family == "p2c_interp":
+            basis[s] = el.build_p2c_macro_basis(rep, lap_xy[first[s]])
+        elif family == "pk_interp":
+            basis[s], moments[s] = el.build_pk_basis(rep, k)
+        elif family == "pk_lagrange":
+            basis[s] = el.build_lagrange_basis(rep, k)
+        elif family == "p3_interp":
+            basis[s] = el.build_p3_basis(rep)
+        else:
+            basis[s] = el.build_p2nc_element(rep, standard=family == "p2nc_std")
     node_xy = (np.array(alphas, dtype=float) / k) @ corners
     return Space(mesh=mesh, family=family, k=k, dof_map=dof_map, basis=basis,
-                 verts=verts, grad_lambda=grad_lambda, area=area, node_xy=node_xy,
-                 lap_xy=lap_xy, moments=moments,
-                 shape=_shape_index(basis, grad_lambda, area))
+                 verts=verts, grad_lambda=grad_lambda[first], area=area[first],
+                 node_xy=node_xy, lap_xy=lap_xy, moments=moments, shape=shape)
 
 
-def _shape_index(basis, grad_lambda, area) -> np.ndarray:
-    """Shape ids (E,) numbered in order of first appearance.  Two elements share
-    one only when the int64 views of their basis, grad_lambda and area are
-    equal, so 0.0 and -0.0 differ.
-
-    Elements are grouped by their geometry bytes, then each basis is compared
-    with its group's first one, BLOCK_BYTES of bases at a time; an element
-    whose basis differs from that one gets a shape of its own.
-    """
-    E = len(basis)
+def _classes(grad_lambda, area) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids (E,) numbered in order of first appearance, and each class's
+    first element (S,).  Two elements share a class when the bytes of their
+    grad_lambda and area are equal, so 0.0 and -0.0 differ."""
+    E = len(area)
     geom = np.concatenate([grad_lambda.reshape(E, -1), area.reshape(E, -1)], axis=1)
     _, first, group = np.unique(geom.view(np.dtype((np.void, geom[0].nbytes)))[:, 0],
                                 return_index=True, return_inverse=True)
-    rep = first[group]                         # the element each one is compared with
-    bits = basis.reshape(E, -1).view(np.int64)
-    step = max(1, BLOCK_BYTES // bits[0].nbytes)
-    for start in range(0, E, step):
-        s = slice(start, start + step)
-        same = (bits[s] == bits[rep[s]]).all(axis=1)
-        rep[s] = np.where(same, rep[s], np.arange(start, start + len(same)))
-    return np.unique(rep, return_inverse=True)[1]
+    order = np.argsort(first)
+    return np.argsort(order)[group], first[order]
 
 
 def element_blocks(space: Space):
-    """Blocks of elements in shape order as (element ids (B,), basis (B, nb, parts,
-    nc), vertices (B, parts, 3, 2), grad_lambda (B, parts, 3, 2), area (B, parts)).
+    """Blocks of elements in shape order as (element ids (B,), vertices (B, parts,
+    3, 2), area (B, parts)).
 
     The passes write only per-element outputs and add them up in element
     order afterwards, so the order of the walk does not change a bit."""
@@ -264,7 +261,7 @@ def element_blocks(space: Space):
     order = np.argsort(space.shape, kind="stable")
     for start in range(0, space.n_elements, step):
         e = order[start:start + step]
-        yield e, space.basis[e], space.verts[e], space.grad_lambda[e], space.area[e]
+        yield e, space.verts[e], space.area[space.shape[e]]
 
 
 def shape_blocks(space: Space, tabulate):
@@ -272,18 +269,19 @@ def shape_blocks(space: Space, tabulate):
     area, tables), where tables are the arrays tabulate(basis, grad_lambda,
     area) returns, each with a leading axis over the block's elements.
 
-    tabulate runs once per shape, on its first element in the walk.  The walk
-    is in shape order, so a shape's elements are consecutive: only the last
-    shape of a block can go on into the next one, and its one row is carried.
-    An element's rows do not depend on the other elements tabulated with it,
-    so the tables equal those of tabulating every element, bit for bit.
+    tabulate runs once per class, on its rows of the Space.  The walk is in
+    shape order, so a class's elements are consecutive: only the last class
+    of a block can go on into the next one, and its one row is carried.  A
+    class's rows do not depend on the other classes tabulated with it, so
+    the tables equal those of tabulating every element, bit for bit.
     """
     last_id, carried = None, None
-    for e, basis, verts, grad_lambda, area in element_blocks(space):
-        ids, first, at = np.unique(space.shape[e], return_index=True, return_inverse=True)
-        carry = ids[0] == last_id                # the previous block's last shape
-        new = first[1:] if carry else first
-        rows = tabulate(basis[new], grad_lambda[new], area[new]) if len(new) else None
+    for e, verts, area in element_blocks(space):
+        ids, at = np.unique(space.shape[e], return_inverse=True)
+        carry = ids[0] == last_id                # the previous block's last class
+        new = ids[1:] if carry else ids
+        rows = (tabulate(space.basis[new], space.grad_lambda[new], space.area[new])
+                if len(new) else None)
         if carry:
             rows = carried if rows is None else tuple(map(np.concatenate, zip(carried, rows)))
         last_id, carried = ids[-1], tuple(t[-1:] for t in rows)
@@ -305,8 +303,8 @@ def interior_coefficients(space: Space, f) -> np.ndarray:
     bv = rule.bernstein(3) @ el.BUBBLE
     low = rule.bernstein(space.k - 3)
     c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
-    for e, _, verts, _, area in element_blocks(space):
-        pj = space.moments[e]
+    for e, verts, area in element_blocks(space):
+        pj = space.moments[space.shape[e]]
         xy = rule.points @ verts[:, 0]
         fv = f(xy[..., 0], xy[..., 1])
         w = rule.weights * area

@@ -5,7 +5,8 @@ Polynomials are stored as B-net coefficient vectors over the degree-k
 multi-indices in descending lexicographic order, i.e. (k,0,0), (k-1,1,0),
 (k-1,0,1), ..., (0,0,k).  Evaluation at barycentric points is independent
 of the triangle geometry; gradients and Laplacians use the (constant)
-barycentric gradients stored in TriGeom.
+barycentric gradients stored in TriGeom.  `per_element` reads one
+element's rows of a Space, which stores its bases per element class.
 """
 
 from __future__ import annotations
@@ -130,3 +131,9 @@ def bpoly_from_point_values(k: int, values, geom: TriGeom) -> BPoly:
             f"degree {k} needs {num_coeffs(k)} point values, got {values.shape}")
     coeffs = _collocation_inverse(k) @ values
     return BPoly(degree=k, coeffs=coeffs, geom=geom)
+
+
+def per_element(space, name, eid=slice(None)):
+    """Rows of the per-class Space array `name` (basis, grad_lambda, area or
+    moments) for element(s) eid, gathered by the class index `space.shape`."""
+    return getattr(space, name)[space.shape[eid]]

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 import oracle
-from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_grad, bpoly_laplacian
+from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_grad, bpoly_laplacian, per_element
 from igfem.analysis import error_norms, FeFunction, interpolate_exact
 from igfem.assembly import assemble_system, build_dof_map, build_space
 from igfem.cli import ExperimentConfig, PROBLEMS, fixed_sci, run_experiment
@@ -425,13 +425,13 @@ def _interior_orthogonality_check(problems):
     u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
     rule = make_quad_rule(12)
     for eid in range(space.n_elements):
-        basis = space.basis[eid][None, :, 0]
+        basis = per_element(space, "basis", eid)[None, :, 0]
         local = u_h.coeffs[eid]
         vals = block_values(basis, 4, rule.points)[0]
-        grads = block_gradients(basis, 4, space.grad_lambda[eid], rule.points)[0]
+        grads = block_gradients(basis, 4, per_element(space, "grad_lambda", eid), rule.points)[0]
         uh_grad = np.einsum("n,npd->pd", local, grads)
         xy = rule.points @ space.verts[eid, 0]
-        w = rule.weights * space.area[eid, 0]
+        w = rule.weights * per_element(space, "area", eid)[0]
         fv = patch.f(xy[:, 0], xy[:, 1])
         for j in range(space.moments.shape[1]):
             slot = 12 + j

@@ -3,7 +3,7 @@ import pytest
 
 import math
 
-from bpoly import TriGeom, domain_points
+from bpoly import TriGeom, domain_points, per_element
 from igfem.analysis import (FeFunction, convergence_orders, error_norms,
                             interpolate_exact)
 from igfem.assembly import assemble_system, build_space, interior_coefficients, \
@@ -36,13 +36,13 @@ def element_geom(space, eid, part=0):
 
 def basis_values(space, eid, bary, part=0):
     """Values (nb, P) of the basis of element eid on one part."""
-    return block_values(space.basis[eid][None, :, part], space.k, bary)[0]
+    return block_values(per_element(space, "basis", eid)[None, :, part], space.k, bary)[0]
 
 
 def basis_gradients(space, eid, bary, part=0):
     """Gradients (nb, P, 2) of the basis of element eid on one part."""
-    return block_gradients(space.basis[eid][None, :, part], space.k,
-                           space.grad_lambda[eid, part][None], bary)[0]
+    return block_gradients(per_element(space, "basis", eid)[None, :, part], space.k,
+                           per_element(space, "grad_lambda", eid)[part][None], bary)[0]
 
 
 def solve(space, problem, tol=1e-13):
@@ -235,7 +235,7 @@ def _reference_error_norms(a, b):
     l2_sq = 0.0
     h1_sq = 0.0
     for eid in range(space.n_elements):
-        for part, area in enumerate(space.area[eid]):
+        for part, area in enumerate(per_element(space, "area", eid)):
             vals_tab = basis_values(space, eid, rule.points, part)
             grads_tab = basis_gradients(space, eid, rule.points, part)
             xy = rule.points @ space.verts[eid, part]
@@ -285,7 +285,7 @@ def _reference_nc_interpolant(u, f, space):
         bubble = f(*geom.barycenter)
         if space.family == "p2nc_std":
             lap_op = laplacian_operator(2, geom.grad_lambda[None])[0]
-            bubble += sum(a[i] * (lap_op @ space.basis[eid, i, 0])[0] for i in range(6))
+            bubble += sum(a[i] * (lap_op @ per_element(space, "basis", eid)[i, 0])[0] for i in range(6))
         coeffs.append(np.concatenate([a, [bubble]]))
     return FeFunction(space, np.array(coeffs))
 

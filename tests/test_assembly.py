@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_laplacian
+from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_laplacian, per_element
 import igfem.assembly
 import igfem.elements
 from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
@@ -15,7 +15,7 @@ from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             laplacian_operator)
 from igfem.mesh import build_crisscross_mesh
 from igfem.poly import (MAX_QUAD_DEGREE, QuadRule, bernstein_values, make_quad_rule,
-                        num_coeffs)
+                        num_coeffs, triangle_geometry)
 from igfem.solver import cg_solve
 from igfem.cli import PROBLEMS
 from igfem.analysis import FeFunction, error_norms, interpolate_exact
@@ -129,7 +129,7 @@ def test_interior_coefficients_match_moment_functionals_of_u():
         bv = bpoly_eval(BPoly(3, BUBBLE, geom), rule.points)
         # Lap u for u = x(1-x)y(1-y)
         lap_u = -2.0 * (xy[:, 1] * (1 - xy[:, 1]) + xy[:, 0] * (1 - xy[:, 0]))
-        for j, pj in enumerate(space.moments[eid]):
+        for j, pj in enumerate(per_element(space, "moments", eid)):
             gj_u = w @ (bpoly_eval(BPoly(k - 3, pj, geom), rule.points) * bv * lap_u)
             assert c[j] == pytest.approx(gj_u, abs=1e-10)
 
@@ -210,7 +210,7 @@ def test_elementwise_interior_consistency_p3():
     for eid in range(space.n_elements):
         geom = element_geom(space, eid)
         local = u_h.coeffs[eid]
-        func = BPoly(3, local @ space.basis[eid, :, 0, :], geom)
+        func = BPoly(3, local @ per_element(space, "basis", eid)[:, 0, :], geom)
         lap = bpoly_eval(bpoly_laplacian(func), BARYCENTER)
         x0, y0 = geom.barycenter
         assert lap == pytest.approx(-SINE.f(x0, y0), rel=1e-12, abs=1e-12)
@@ -224,12 +224,12 @@ def test_elementwise_interior_consistency_moments():
     for eid in range(space.n_elements):
         geom = element_geom(space, eid)
         local = u_h.coeffs[eid]
-        func_coeffs = local @ space.basis[eid, :, 0, :]
+        func_coeffs = local @ per_element(space, "basis", eid)[:, 0, :]
         lap = laplacian_operator(4, geom.grad_lambda[None])[0] @ func_coeffs
         lapv = bernstein_values(2, rule.points) @ lap
         w = rule.weights * geom.area
         bv = bpoly_eval(BPoly(3, BUBBLE, geom), rule.points)
-        for j, pj in enumerate(space.moments[eid]):
+        for j, pj in enumerate(per_element(space, "moments", eid)):
             gj = w @ (bpoly_eval(BPoly(1, pj, geom), rule.points) * bv * lapv)
             assert gj == pytest.approx(system.interp_coeffs[eid][j],
                                        rel=1e-12, abs=1e-12)
@@ -260,13 +260,13 @@ def test_interior_test_function_orthogonality_on_patch():
 
 def basis_values(space, eid, bary, part=0):
     """Values (nb, P) of the basis of element eid on one part."""
-    return block_values(space.basis[eid][None, :, part], space.k, bary)[0]
+    return block_values(per_element(space, "basis", eid)[None, :, part], space.k, bary)[0]
 
 
 def basis_gradients(space, eid, bary, part=0):
     """Gradients (nb, P, 2) of the basis of element eid on one part."""
-    return block_gradients(space.basis[eid][None, :, part], space.k,
-                           space.grad_lambda[eid, part][None], bary)[0]
+    return block_gradients(per_element(space, "basis", eid)[None, :, part], space.k,
+                           per_element(space, "grad_lambda", eid)[part][None], bary)[0]
 
 
 def _element_interior_coefficients(space, eid, f) -> np.ndarray:
@@ -280,7 +280,7 @@ def _element_interior_coefficients(space, eid, f) -> np.ndarray:
         w = rule.weights * geom.area
         bv = bpoly_eval(BPoly(3, BUBBLE, geom), rule.points)
         return np.array([-(w * bv * bpoly_eval(BPoly(k - 3, pj, geom), rule.points)) @ fv
-                         for pj in space.moments[eid]])
+                         for pj in per_element(space, "moments", eid)])
     if space.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
         x, y = space.lap_xy[eid]
         return np.array([f(x, y)], dtype=float)
@@ -296,7 +296,7 @@ def _element_contribution(space, f, eid: int):
     S = np.zeros((nb, nb))
     L = np.zeros(nb)
     for part in range(space.basis.shape[2]):
-        area = space.area[eid, part]
+        area = per_element(space, "area", eid)[part]
         grads = basis_gradients(space, eid, stiff_rule.points, part)   # (nb, P, 2)
         S += area * np.einsum("npd,mpd,p->nm", grads, grads, stiff_rule.weights)
         vals = basis_values(space, eid, load_rule.points, part)        # (nb, P)
@@ -388,7 +388,7 @@ def _element_pass_outputs(family, k, level, perturb):
               system.interp_coeffs, interior_coefficients(space, SINE.f), i_h.coeffs]
     if space.moments is not None:
         arrays.append(space.moments)
-    blocks = [len(basis) for _, basis, *_ in element_blocks(space)]
+    blocks = [len(e) for e, *_ in element_blocks(space)]
     return arrays, error_norms(i_h, SINE, u), blocks
 
 
@@ -412,7 +412,7 @@ def test_block_size_leaves_bits_unchanged(monkeypatch, family, k, level, perturb
     assert norms == ref_norms
 
 
-# --- shapes: elements with equal bits share their tables -------------------------
+# --- shapes: the elements of a class share its basis and tables -----------------
 
 _TRIANGLE_FAMILIES = [("p2nc_interp", None), ("p2nc_std", None), ("p3_interp", None)] + [
     ("pk_lagrange", k) for k in range(1, 9)]
@@ -430,7 +430,22 @@ def test_shape_index_on_criss_cross_grids():
         space = build_space(mesh, family, k)
         assert space.shape.shape == (space.n_elements,)
         assert space.shape.max() + 1 <= 4, family
-    assert set(build_space(mesh, "p2c_interp").shape) == {0}
+    p2c = build_space(mesh, "p2c_interp")
+    assert set(p2c.shape) == {0} and len(p2c.basis) == 1
+    # pk_interp's class is the element
+    pk = build_space(mesh, "pk_interp", 4)
+    assert np.array_equal(pk.shape, np.arange(pk.n_elements))
+    assert len(pk.basis) == len(pk.moments) == pk.n_elements
+
+
+@pytest.mark.parametrize("level", [3, 6])
+def test_four_classes_stored_once(level):
+    mesh = build_crisscross_mesh(level)
+    for family in ("p3_interp", "p2nc_interp"):
+        space = build_space(mesh, family)
+        assert space.n_elements == 4 ** level
+        assert space.basis.shape[0] == 4
+        assert space.grad_lambda.shape[0] == space.area.shape[0] == 4
 
 
 def test_shape_index_on_perturbed_mesh():
@@ -440,11 +455,13 @@ def test_shape_index_on_perturbed_mesh():
     moved = np.any(mesh.vertices != build_crisscross_mesh(3).vertices, axis=1)
     displaced = moved[mesh.triangles].any(axis=1)
     assert displaced.sum() == 48
-    for family, k in _TRIANGLE_FAMILIES + [("pk_interp", 5)]:
+    for family, k in _TRIANGLE_FAMILIES:
         shape = build_space(mesh, family, k).shape
         ids, counts = np.unique(shape, return_counts=True)
         assert np.all(counts[np.searchsorted(ids, shape[displaced])] == 1), family
         assert len(np.unique(shape[~displaced])) <= 4
+    shape = build_space(mesh, "pk_interp", 5).shape
+    assert np.array_equal(shape, np.arange(len(shape)))
 
 
 @pytest.mark.parametrize("family,k,level,perturb", [
@@ -453,23 +470,24 @@ def test_shape_index_on_perturbed_mesh():
 def test_equal_shape_means_equal_bits(family, k, level, perturb):
     space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
     first = np.unique(space.shape, return_index=True)[1]
-    # ids count up in order of first appearance
+    # ids count up in order of first appearance, one class row per id
     assert np.array_equal(first, np.sort(first))
-    rep = first[space.shape]
-    for arr in (space.basis, space.grad_lambda, space.area):
-        assert _equal_bits(arr, arr[rep])
+    assert len(space.basis) == len(space.grad_lambda) == len(space.area) == len(first)
+    # every element's own geometry has its class row's bits
+    grad_lambda, area = triangle_geometry(space.verts)
+    assert _equal_bits(grad_lambda, per_element(space, "grad_lambda"))
+    assert _equal_bits(area, per_element(space, "area"))
 
 
 def test_shape_index_tells_signed_zeros_apart():
     space = build_space(build_crisscross_mesh(3), "pk_lagrange", 2)
-    basis = space.basis.copy()
+    grad_lambda, area = triangle_geometry(space.verts)
     e = np.flatnonzero(space.shape == space.shape[0])[1]
-    i = np.flatnonzero(basis[e].ravel() == 0.0)[0]
-    basis[e].ravel()[i] = -0.0
-    assert np.array_equal(basis, space.basis)     # equal as numbers
-    shape = igfem.assembly._shape_index(basis, space.grad_lambda, space.area)
+    grad_lambda[e][tuple(np.argwhere(grad_lambda[e] == 0.0)[0])] = -0.0
+    assert np.array_equal(grad_lambda, per_element(space, "grad_lambda"))   # equal as numbers
+    shape, first = igfem.assembly._classes(grad_lambda, area)
     assert np.sum(shape == shape[e]) == 1
-    assert shape.max() == space.shape.max() + 1
+    assert shape.max() == space.shape.max() + 1 and first[shape[e]] == e
 
 
 _SHARED_CASES = [("p2nc_interp", None, 5, 0.0), ("p2nc_std", None, 5, 0.0),
@@ -488,6 +506,13 @@ def _pass_outputs(space):
     return [system.A.data, system.F, system.interp_coeffs], error_norms(i_h, SINE, u)
 
 
+def _with_classes(space, shape, rows):
+    """space with classes `shape` whose class rows are space's rows `rows`."""
+    return dataclasses.replace(space, shape=shape, **{
+        name: getattr(space, name)[rows] for name in ("basis", "grad_lambda", "area", "moments")
+        if getattr(space, name) is not None})
+
+
 def _assert_same_outputs(space, ref_space):
     (arrays, norms), (ref_arrays, ref_norms) = _pass_outputs(space), _pass_outputs(ref_space)
     for got, ref in zip(arrays, ref_arrays):
@@ -500,8 +525,8 @@ def _assert_same_outputs(space, ref_space):
                               else f"{c[0]}-{c[2]}" for c in _SHARED_CASES])
 def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, level, perturb):
     space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
-    # the same space with every element its own shape tabulates every element
-    own = dataclasses.replace(space, shape=np.arange(space.n_elements))
+    # the same space with every element its own class tabulates every element
+    own = _with_classes(space, np.arange(space.n_elements), space.shape)
     _assert_same_outputs(space, own)
 
 
@@ -511,12 +536,13 @@ def test_shared_tables_kept_up_to_a_block_boundary():
     # (cut 0), or a run starts at the first block's last element and is
     # carried into the second block (cut -1)
     space = build_space(build_crisscross_mesh(4), "p2nc_interp")
-    own = dataclasses.replace(space, shape=np.arange(space.n_elements))
-    step = len(next(element_blocks(space))[1])
+    own = _with_classes(space, np.arange(space.n_elements), space.shape)
+    step = len(next(element_blocks(space))[0])
+    S = len(space.basis)
     for cut, carried in ((0, False), (-1, True)):
         late = np.empty(space.n_elements, dtype=np.int64)
         late[np.argsort(space.shape, kind="stable")] = np.arange(space.n_elements) >= step + cut
-        split = dataclasses.replace(space, shape=space.shape + (space.shape.max() + 1) * late)
+        split = _with_classes(space, space.shape + S * late, np.tile(np.arange(S), 2))
         walk = np.sort(split.shape)
         assert len(np.unique(walk)) == 5 and (walk[step - 1] == walk[step]) == carried
         _assert_same_outputs(split, own)

@@ -4,7 +4,7 @@ import pytest
 from math import factorial
 
 from bpoly import (BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
-                   bpoly_laplacian, domain_points)
+                   bpoly_laplacian, domain_points, per_element)
 from igfem.assembly import (block_size, build_space, load_rule_degree, norm_rule_degree,
                             stiffness_rule_degree)
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
@@ -711,11 +711,16 @@ _STACKED_CASES += [("pk_interp", k, level, perturb) for k in range(4, 9)
 @pytest.mark.parametrize("family,k,level,perturb", _STACKED_CASES, ids=[
     f"{fam}-{k}-{level}" + (f"-perturb{p}" if p else "") for fam, k, level, p in _STACKED_CASES])
 def test_stacked_bases_bit_identical_to_element_builders(family, k, level, perturb):
+    # the Space builds each class once; its rows, gathered to the elements,
+    # equal every element's own build
     mesh = build_crisscross_mesh(level, perturb=perturb)
     space = build_space(mesh, family, k)
     ref = _reference_space_arrays(mesh, family, k)
     for name, want in ref.items():
         got = getattr(space, name)
+        if name in ("basis", "grad_lambda", "area", "moments") and got is not None:
+            assert len(got) == space.shape.max() + 1, name
+            got = per_element(space, name)
         if want is None:
             assert got is None, name
         else:
