@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements as el
-from .assembly import Space, interior_coefficients, norm_rule_degree, shape_blocks
+from .assembly import Space, element_blocks, interior_coefficients, norm_rule_degree
 from .mesh import triangle_gauss_points
 from .poly import _collocation_inverse, bernstein_values, make_quad_rule
 
@@ -123,7 +123,7 @@ def error_norms(a, *bs) -> tuple[float, ...]:
     tables = [x.coeffs if isinstance(x, FeFunction) else None for x in sides]
     # L2 and H1 terms of every pair, per (element, part)
     sq = np.zeros((len(bs), 2, space.n_elements, space.area.shape[1]))
-    for e, verts, area, shape_tables in shape_blocks(space, tabulate):
+    for e, verts, area, shape_tables in element_blocks(space, tabulate):
         for part in parts:
             vals, grads = shape_tables[2 * part:2 * part + 2]
             xy = rule.points @ verts[:, part]

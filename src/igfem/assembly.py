@@ -251,41 +251,29 @@ def _classes(grad_lambda, area) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(order)[group], first[order]
 
 
-def element_blocks(space: Space):
-    """Blocks of elements in shape order as (element ids (B,), vertices (B, parts,
-    3, 2), area (B, parts)).
+def element_blocks(space: Space, tabulate=lambda *rows: ()):
+    """Blocks of elements in class order as (element ids (B,), vertices (B,
+    parts, 3, 2), area (B, parts), tables), where tables are the arrays
+    tabulate(basis, grad_lambda, area) returns, gathered to the block's elements.
 
-    The passes write only per-element outputs and add them up in element
-    order afterwards, so the order of the walk does not change a bit."""
+    The classes are taken block_size at a time, and tabulate runs once on
+    each such block of class rows; the elements of those classes follow in
+    blocks of at most block_size.  A class's rows do not depend on the other
+    classes tabulated with it, so the tables equal those of tabulating every
+    element, bit for bit.  The passes write only per-element outputs and add
+    them up in element order afterwards, so the walk does not change a bit.
+    """
     step = block_size(space.k, *space.basis.shape[1:3])      # nb, parts
     order = np.argsort(space.shape, kind="stable")
-    for start in range(0, space.n_elements, step):
-        e = order[start:start + step]
-        yield e, space.verts[e], space.area[space.shape[e]]
-
-
-def shape_blocks(space: Space, tabulate):
-    """element_blocks with per-element tables: yields (element ids, vertices,
-    area, tables), where tables are the arrays tabulate(basis, grad_lambda,
-    area) returns, each with a leading axis over the block's elements.
-
-    tabulate runs once per class, on its rows of the Space.  The walk is in
-    shape order, so a class's elements are consecutive: only the last class
-    of a block can go on into the next one, and its one row is carried.  A
-    class's rows do not depend on the other classes tabulated with it, so
-    the tables equal those of tabulating every element, bit for bit.
-    """
-    last_id, carried = None, None
-    for e, verts, area in element_blocks(space):
-        ids, at = np.unique(space.shape[e], return_inverse=True)
-        carry = ids[0] == last_id                # the previous block's last class
-        new = ids[1:] if carry else ids
-        rows = (tabulate(space.basis[new], space.grad_lambda[new], space.area[new])
-                if len(new) else None)
-        if carry:
-            rows = carried if rows is None else tuple(map(np.concatenate, zip(carried, rows)))
-        last_id, carried = ids[-1], tuple(t[-1:] for t in rows)
-        yield e, verts, area, tuple(t[at] for t in rows)
+    sorted_shape = space.shape[order]
+    for c0 in range(0, len(space.basis), step):
+        c = slice(c0, c0 + step)
+        rows = tabulate(space.basis[c], space.grad_lambda[c], space.area[c])
+        lo, hi = np.searchsorted(sorted_shape, [c0, c0 + step])
+        for start in range(lo, hi, step):
+            e = order[start:min(start + step, hi)]
+            at = space.shape[e] - c0
+            yield e, space.verts[e], space.area[space.shape[e]], tuple(t[at] for t in rows)
 
 
 def interior_coefficients(space: Space, f) -> np.ndarray:
@@ -303,7 +291,7 @@ def interior_coefficients(space: Space, f) -> np.ndarray:
     bv = rule.bernstein(3) @ el.BUBBLE
     low = rule.bernstein(space.k - 3)
     c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
-    for e, verts, area in element_blocks(space):
+    for e, verts, area, _ in element_blocks(space):
         pj = space.moments[space.shape[e]]
         xy = rule.points @ verts[:, 0]
         fv = f(xy[..., 0], xy[..., 1])
@@ -351,7 +339,7 @@ def assemble_system(space: Space, f) -> SparseSystem:
 
     S = np.empty(dm.dofs.shape + dm.dofs.shape[1:])       # (E, nb, nb)
     L = np.zeros(dm.dofs.shape)                           # (E, nb)
-    for e, verts, _, (S_block, *av) in shape_blocks(space, tabulate):
+    for e, verts, _, (S_block, *av) in element_blocks(space, tabulate):
         S[e] = S_block
         for part in parts:
             xy = load_rule.points @ verts[:, part]

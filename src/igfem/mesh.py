@@ -58,10 +58,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
-    def num_macros(self) -> int:
-        return len(self.macro_corners)
-
     def edge_id(self, v0, v1):
         """Edge ids of the vertex pairs (v0[i], v1[i]), in either order.
 

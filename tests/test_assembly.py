@@ -394,22 +394,65 @@ def _element_pass_outputs(family, k, level, perturb):
 
 _BLOCK_CASES = [("p2nc_interp", None, 5, 0.0), ("p2nc_std", None, 5, 0.0),
                 ("p3_interp", None, 4, 0.0), ("p2c_interp", None, 4, 0.0),
-                ("pk_lagrange", 1, 5, 0.0), ("pk_interp", 4, 3, 0.2)]
+                ("pk_lagrange", 1, 5, 0.0), ("pk_interp", 4, 3, 0.2),
+                ("p3_interp", None, 4, 0.2)]
 
 
 @pytest.mark.parametrize("family,k,level,perturb", _BLOCK_CASES,
-                         ids=[f"{c[0]}-{c[2]}" for c in _BLOCK_CASES])
+                         ids=[f"{c[0]}-{c[2]}" for c in _BLOCK_CASES[:-1]]
+                         + ["p3_interp-4-perturb0.2"])
 def test_block_size_leaves_bits_unchanged(monkeypatch, family, k, level, perturb):
     arrays, norms, blocks = _element_pass_outputs(family, k, level, perturb)
     # several full blocks and a partial last one
     assert len(blocks) > 2 and blocks[0] > 8 and 0 < blocks[-1] < blocks[0]
     monkeypatch.setattr(igfem.assembly, "BLOCK_BYTES", 0)   # blocks of 8
     ref_arrays, ref_norms, ref_blocks = _element_pass_outputs(family, k, level, perturb)
-    assert set(ref_blocks[:-1]) == {8}
+    if family == "p3_interp" and perturb:
+        # classes of mixed sizes: some blocks end at a boundary of class blocks
+        assert max(ref_blocks) == 8 and min(ref_blocks[:-1]) < 8
+    else:
+        assert set(ref_blocks[:-1]) == {8}
     assert len(arrays) == len(ref_arrays)
     for got, ref in zip(arrays, ref_arrays):
         assert np.array_equal(got, ref)
     assert norms == ref_norms
+
+
+_WALK_CASES = [("p2nc_interp", 4, 0.0, BLOCK_BYTES), ("p3_interp", 4, 0.2, 0)]
+
+
+@pytest.mark.parametrize("family,level,perturb,block_bytes", _WALK_CASES,
+                         ids=["p2nc_interp-4", "p3_interp-4-perturb0.2-blocks8"])
+def test_walk_tabulates_class_blocks_once_in_class_order(
+        monkeypatch, family, level, perturb, block_bytes):
+    monkeypatch.setattr(igfem.assembly, "BLOCK_BYTES", block_bytes)
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family)
+    S, parts = space.area.shape
+    step = block_size(space.k, *space.basis.shape[1:3])
+    # fewer classes than one class block, or 228 classes in blocks of 8
+    assert (S, step) in ((4, 66), (228, 8))
+    # each class row's area names its class
+    named = dataclasses.replace(space, area=np.repeat(np.arange(S, dtype=float)[:, None],
+                                                      parts, axis=1))
+    tabulated = []
+
+    def tabulate(basis, grad_lambda, area):
+        assert len(basis) == len(grad_lambda) == len(area)
+        tabulated.append(area[:, 0])
+        return area[:, 0], basis
+
+    walk = []
+    for e, verts, area, (classes, basis) in element_blocks(named, tabulate):
+        assert 0 < len(e) <= step
+        assert np.array_equal(classes, space.shape[e])
+        assert np.array_equal(basis, space.basis[space.shape[e]])
+        assert np.array_equal(verts, space.verts[e])
+        assert np.array_equal(area, named.area[space.shape[e]])
+        walk.append(e)
+    assert np.array_equal(np.concatenate(walk), np.argsort(space.shape, kind="stable"))
+    # consecutive class slices, each at most a block, that cover 0..S once
+    assert np.array_equal(np.concatenate(tabulated), np.arange(S))
+    assert all(len(t) == step for t in tabulated[:-1]) and 0 < len(tabulated[-1]) <= step
 
 
 # --- shapes: the elements of a class share its basis and tables -----------------
@@ -530,22 +573,19 @@ def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, leve
     _assert_same_outputs(space, own)
 
 
-def test_shared_tables_kept_up_to_a_block_boundary():
-    # split every shape at position step + cut of the shape-order walk: there a
-    # run ends exactly at the first block boundary and nothing is carried
-    # (cut 0), or a run starts at the first block's last element and is
-    # carried into the second block (cut -1)
+def test_shared_tables_kept_up_to_a_block_boundary(monkeypatch):
+    # split p2nc's 4 classes into 12, more than one class block of 8: the walk
+    # then crosses a boundary of class blocks, where an element block ends
+    # short and the next class block's tables begin
+    monkeypatch.setattr(igfem.assembly, "BLOCK_BYTES", 0)   # blocks of 8
     space = build_space(build_crisscross_mesh(4), "p2nc_interp")
     own = _with_classes(space, np.arange(space.n_elements), space.shape)
-    step = len(next(element_blocks(space))[0])
     S = len(space.basis)
-    for cut, carried in ((0, False), (-1, True)):
-        late = np.empty(space.n_elements, dtype=np.int64)
-        late[np.argsort(space.shape, kind="stable")] = np.arange(space.n_elements) >= step + cut
-        split = _with_classes(space, space.shape + S * late, np.tile(np.arange(S), 2))
-        walk = np.sort(split.shape)
-        assert len(np.unique(walk)) == 5 and (walk[step - 1] == walk[step]) == carried
-        _assert_same_outputs(split, own)
+    split = _with_classes(space, space.shape + S * (np.arange(space.n_elements) % 3),
+                          np.tile(np.arange(S), 3))
+    blocks = [len(e) for e, *_ in element_blocks(split)]
+    assert len(split.basis) == 12 and max(blocks) == 8 and min(blocks[:-1]) < 8
+    _assert_same_outputs(split, own)
 
 
 def test_each_shape_tabulated_once_per_rule(monkeypatch):
@@ -563,14 +603,18 @@ def test_each_shape_tabulated_once_per_rule(monkeypatch):
     for name in ("block_values", "block_gradients"):
         monkeypatch.setattr(igfem.elements, name,
                             counting(name, getattr(igfem.elements, name)))
-    space = build_space(build_crisscross_mesh(4), "p2nc_interp")
-    assert space.n_elements == 256 and len(list(element_blocks(space))) > 2
-    system = assemble_system(space, f=SINE.f)
-    u = FeFunction.from_dofs(space, np.zeros(space.dof_map.n_free), system.interp_coeffs)
-    error_norms(u, SINE)
-    # stiffness gradients, load values, norm values and norm gradients
-    assert len(counts) == 4
-    assert all(0 < n <= 4 for n in counts.values()), counts
+    # 4 classes, and 228 classes in several class blocks
+    for family, perturb, S in (("p2nc_interp", 0.0, 4), ("p3_interp", 0.2, 228)):
+        counts.clear()
+        space = build_space(build_crisscross_mesh(4, perturb=perturb), family)
+        assert space.n_elements == 256 and len(space.basis) == S
+        assert len(list(element_blocks(space))) > 2
+        system = assemble_system(space, f=SINE.f)
+        u = FeFunction.from_dofs(space, np.zeros(space.dof_map.n_free), system.interp_coeffs)
+        error_norms(u, SINE)
+        # stiffness gradients, load values, norm values and norm gradients
+        assert len(counts) == 4
+        assert all(n == S for n in counts.values()), (family, counts)
 
 
 def test_cached_bernstein_tables_match_fresh_ones():

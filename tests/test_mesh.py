@@ -24,7 +24,7 @@ def test_counts(level, nv, nt, ne, nb):
     assert m.num_triangles == nt
     assert m.num_edges == ne
     assert int(m.edge_boundary.sum()) == nb
-    assert m.num_macros == m.n ** 2
+    assert len(m.macro_corners) == m.n ** 2
     assert m.h == pytest.approx(1.0 / m.n)
 
 
