@@ -132,7 +132,8 @@ def error_norms(a, *bs) -> tuple[float, ...]:
             w = (rule.weights * area[:, part, None])[:, None, :]     # (B, 1, P)
             for i, (vb, gb) in enumerate(rest):
                 sq[i, 0, e, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
-                sq[i, 1, e, part] = (w @ np.sum((ga - gb) ** 2, axis=2)[:, :, None])[:, 0, 0]
+                d = ga - gb
+                sq[i, 1, e, part] = (w @ (d[..., 0] ** 2 + d[..., 1] ** 2)[:, :, None])[:, 0, 0]
     # added in element order, as a loop over the elements adds them
     sums = np.cumsum(sq.reshape(2 * len(bs), -1), axis=1)[:, -1]
     return tuple(math.sqrt(abs(v)) for v in sums)

@@ -79,11 +79,13 @@ class DofMap:
     `dofs[e, m]` is the free unknown of local slot m of element e, or -1
     where that slot has none: a Dirichlet boundary slot, or an interpolated
     slot.  The interpolated slots sit at the same local positions in every
-    element (`interp_mask`); their coefficients come from f.
+    element (`interp_mask`); their coefficients come from f.  The table is
+    int32, so the COO coordinates gathered from it, and the CSR indices of
+    the assembled matrix, are int32 too.
     """
 
     n_free: int
-    dofs: np.ndarray         # (E, nb) int
+    dofs: np.ndarray         # (E, nb) int32
     interp_mask: np.ndarray  # (nb,) bool
 
     @property
@@ -150,7 +152,7 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     interp_mask = np.array([col is None for col in columns])
     free = ~boundary & ~interp_mask
     keys, index = np.unique(code[free], return_inverse=True)
-    dofs = np.full(code.shape, -1, dtype=np.int64)
+    dofs = np.full(code.shape, -1, dtype=np.int32)
     dofs[free] = index
     return DofMap(n_free=len(keys), dofs=dofs, interp_mask=interp_mask)
 
@@ -164,7 +166,9 @@ class Space:
     elements with its grad_lambda and area bytes (for pk_interp, e alone).
     `basis`, `grad_lambda`, `area` and `moments` hold one row per class,
     built on its first element: `basis[shape[e], i, p]` holds the Bernstein
-    coefficients of basis function i of element e on part p.
+    coefficients of basis function i of element e on part p.  The per-element
+    arrays are `verts`, `node_xy`, `lap_xy`, `shape` and the int32
+    `dof_map.dofs`.
     """
 
     mesh: Mesh
@@ -351,14 +355,19 @@ def assemble_system(space: Space, f) -> SparseSystem:
     # the additions into F fixes the rounding of A and F, and CG at the
     # default tolerance is sensitive to their last bits.
     free = dm.dofs >= 0
-    pair = free[:, :, None] & free[:, None, :]
-    rows = np.broadcast_to(dm.dofs[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(dm.dofs[:, None, :], pair.shape)[pair]
-    A = sp.coo_array((S[pair], (rows, cols)), shape=(dm.n_free, dm.n_free)).tocsr()
     # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated j
     terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
                            axis=2)
     F = np.zeros(dm.n_free)
     np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
               terms[free].ravel())
+    # the conversion holds the COO triples and the CSR arrays at once, so
+    # the element tables go first; int32 DOFs keep both index arrays int32
+    pair = free[:, :, None] & free[:, None, :]
+    vals = S[pair]
+    del S, L, terms
+    rows = np.broadcast_to(dm.dofs[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(dm.dofs[:, None, :], pair.shape)[pair]
+    del pair
+    A = sp.coo_array((vals, (rows, cols)), shape=(dm.n_free, dm.n_free)).tocsr()
     return SparseSystem(A=A, F=F, interp_coeffs=c)

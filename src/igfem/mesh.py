@@ -39,7 +39,6 @@ class Mesh:
     vertices: np.ndarray          # (V, 2) float
     vertex_boundary: np.ndarray   # (V,) bool
     edges: np.ndarray             # (E, 2) int, sorted vertex pairs
-    edge_tris: np.ndarray         # (E, 2) int, -1 where absent
     edge_boundary: np.ndarray     # (E,) bool
     triangles: np.ndarray         # (T, 3) int, positively oriented
     macro_corners: np.ndarray     # (M, 4) int  (SW, SE, NE, NW)
@@ -75,7 +74,7 @@ class Mesh:
 
     def _freeze(self) -> None:
         for a in (self.vertices, self.vertex_boundary, self.edges,
-                  self.edge_tris, self.edge_boundary, self.triangles,
+                  self.edge_boundary, self.triangles,
                   self.macro_corners, self.macro_centers):
             a.setflags(write=False)
 
@@ -138,11 +137,10 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     order = np.argsort(first)
     first, last = first[order], last[order]
     edges = pairs[first]
-    edge_tris = np.stack([first // 3, np.where(last > first, last // 3, -1)], axis=1)
-    edge_boundary = edge_tris[:, 1] < 0
+    edge_boundary = last == first      # in one triangle only
 
     mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,
-                edges=edges, edge_tris=edge_tris, edge_boundary=edge_boundary,
+                edges=edges, edge_boundary=edge_boundary,
                 triangles=tris, macro_corners=macro_corners,
                 macro_centers=macro_centers,
                 perturbation=perturb)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,24 @@ def test_assembly_bit_identical_to_element_loop(family, k, level, perturb):
     assert np.array_equal(system.F, F)
     assert np.array_equal(system.interp_coeffs, c)
     assert system.A.nnz == distinct and system.A.has_canonical_format
+
+
+@pytest.mark.parametrize("family,k,level,bound", [
+    ("pk_lagrange", 8, 4, 3.0), ("p3_interp", None, 6, 4.0)])
+def test_assembly_transient_memory(family, k, level, bound):
+    # int32 DOFs keep the COO coordinates and A's indices int32, and the
+    # (E, nb, nb) stiffness table is freed before the COO -> CSR conversion;
+    # with int64 indices and the table kept, the ratios were 3.38 and 4.55
+    space = build_space(build_crisscross_mesh(level), family, k)
+    tracemalloc.start()
+    try:
+        A = assemble_system(space, f=SINE.f).A
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dof_map.dofs.dtype == np.int32
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+    assert peak / (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes) < bound
 
 
 # --- block size: one byte rule for every element pass --------------------------

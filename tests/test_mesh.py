@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,10 @@ def test_topology_invariants(level):
               - (v[t[:, 1], 1] - v[t[:, 0], 1]) * (v[t[:, 2], 0] - v[t[:, 0], 0]))
     assert np.all(signed > 0)
     # interior edges have 2 adjacent triangles, boundary edges 1
-    n_adjacent = (m.edge_tris >= 0).sum(axis=1)
+    sides = Counter(tuple(sorted(side)) for a, b, c in t.tolist()
+                    for side in ((a, b), (b, c), (c, a)))
+    n_adjacent = np.array([sides[tuple(e)] for e in m.edges.tolist()])
+    assert sum(sides.values()) == n_adjacent.sum() == 3 * m.num_triangles
     assert np.all(n_adjacent[m.edge_boundary] == 1)
     assert np.all(n_adjacent[~m.edge_boundary] == 2)
     # each triangle contains exactly one macro-square center
@@ -113,7 +117,7 @@ def _loop_mesh_arrays(level, perturb):
                 edge_tris[e][1] = t
     edge_tris = np.array(edge_tris, dtype=int)
     return {"vertices": verts, "vertex_boundary": vbnd,
-            "edges": np.array(edge_list, dtype=int), "edge_tris": edge_tris,
+            "edges": np.array(edge_list, dtype=int),
             "edge_boundary": edge_tris[:, 1] < 0, "triangles": tris,
             "macro_corners": macro_corners, "macro_centers": macro_centers}
 

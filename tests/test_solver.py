@@ -248,9 +248,14 @@ def test_condition_ends_on_a_tight_solve(monkeypatch, family):
 
 def test_csr_from_coo_sums_duplicates():
     # assemble_system builds A this way from COO entries with repeated
-    # (row, col) pairs, and relies on tocsr() to sum them and sort indices
-    A = sp.coo_array(([2.0, 3.0, 4.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)).tocsr()
-    dense = A.toarray()
-    assert dense[0, 1] == 5.0 and dense[1, 0] == 4.0
-    assert A.nnz == 2
-    assert A.has_canonical_format
+    # (row, col) pairs, and relies on tocsr() to sum them and sort indices.
+    # Its coordinates come from the int32 DOF table, and A keeps int32 indices.
+    for dtype in (np.int64, np.int32):
+        rows, cols = np.array([0, 0, 1], dtype=dtype), np.array([1, 1, 0], dtype=dtype)
+        A = sp.coo_array(([2.0, 3.0, 4.0], (rows, cols)), shape=(2, 2)).tocsr()
+        dense = A.toarray()
+        assert dense[0, 1] == 5.0 and dense[1, 0] == 4.0
+        assert A.nnz == 2
+        assert A.has_canonical_format
+        if dtype == np.int32:
+            assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
