@@ -11,7 +11,7 @@ from .elements import build_fs_bubble, build_lagrange_basis, \
     build_p2c_macro_basis, build_p2nc_element, build_p3_basis, build_pk_basis, \
     gram_schmidt_pj
 from .assembly import DofMap, FAMILIES, SparseSystem, Space, assemble_system, \
-    build_dof_map, build_space, interior_coefficients
+    build_dof_map, build_space
 from .solver import ConditionEstimate, SolveStats, SolverError, cg_solve, \
     estimate_condition
 from .analysis import FeFunction, convergence_orders, error_norms, interpolate_exact

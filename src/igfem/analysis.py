@@ -1,9 +1,10 @@
 """Interpolants, error norms, and observed convergence orders.
 
 The table quantity is e_h = I_h u - u_h, where I_h samples u at the
-boundary-type nodes and takes the same f-derived interior coefficients as
-the discrete solution, so e_h has no interior component for the
-interpolated families.  The nonconforming interpolant fits the six edge
+boundary-type nodes and takes the interior coefficients the discrete
+solution holds (f at the Laplacian point, or the moment element's
+c_j = int psi_j f, from the assembly), so e_h has no interior component for
+the interpolated families.  The nonconforming interpolant fits the six edge
 Gauss-point values per triangle in the least-squares sense (the 6x6 system
 has rank 5, and one pseudo-inverse serves every triangle).
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements as el
-from .assembly import Space, element_blocks, interior_coefficients, norm_rule_degree
+from .assembly import Space, element_blocks, norm_rule_degree
 from .mesh import triangle_gauss_points
 from .poly import _collocation_inverse, bernstein_values, make_quad_rule
 
@@ -54,12 +55,13 @@ class FeFunction:
         return cls(space, coeffs)
 
 
-def interpolate_exact(u, f, space: Space) -> FeFunction:
+def interpolate_exact(u, f, space: Space, interior: np.ndarray) -> FeFunction:
     """The trial-space interpolant used by the convergence tables.
 
-    Boundary-type node DOFs take u(node); interior DOFs take the same
-    f-derived values as the assembled solution.  Lagrange elements use the
-    full nodal interpolant.
+    Boundary-type node DOFs take u(node); the interpolated interior slots
+    take `interior` (E, n_interp per element), the f-derived coefficients
+    of the assembled solution, `SparseSystem.interp_coeffs`.  Lagrange
+    elements use the full nodal interpolant.  f gives the p2nc bubble.
     """
     if space.family in ("p2nc_interp", "p2nc_std"):
         gp = triangle_gauss_points(space.verts[:, 0])                # (E, 6, 2)
@@ -81,7 +83,7 @@ def interpolate_exact(u, f, space: Space) -> FeFunction:
     g = dm.dofs[:, :space.node_xy.shape[1]].ravel()
     keys, first_rev = np.unique(g[::-1], return_index=True)
     xy = space.node_xy.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
-    return FeFunction.from_dofs(space, u(xy[:, 0], xy[:, 1]), interior_coefficients(space, f))
+    return FeFunction.from_dofs(space, u(xy[:, 0], xy[:, 1]), interior)
 
 
 def _block_eval(side, coeffs, vals, grads, xy):

@@ -1,10 +1,12 @@
-"""Global DOF numbering, f-interpolated interior coefficients, and assembly
-of the reduced symmetric Galerkin system.
+"""Global DOF numbering and assembly of the reduced symmetric Galerkin
+system, with the f-interpolated interior coefficients.
 
 Free unknowns live on mesh entities (vertices, edge nodes); interior slots
 are either interpolated directly from f (interpolated families) or kept as
 ordinary unknowns (Lagrange and the standard nonconforming baseline).
-Homogeneous Dirichlet DOFs are eliminated by row/column deletion.
+Homogeneous Dirichlet DOFs are eliminated by row/column deletion.  The
+moment element's interior coefficients c_j = int psi_j f are its interior
+load entries, so the load pass computes them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "resolve_degree",
     "build_space",
     "build_dof_map",
-    "interior_coefficients",
     "assemble_system",
     "load_rule_degree",
     "stiffness_rule_degree",
@@ -164,7 +165,7 @@ class Space:
     Element e (a triangle, or a macro square for p2c) has parts p, the
     triangles its basis is polynomial on.  Its class `shape[e]` holds the
     elements with its grad_lambda and area bytes (for pk_interp, e alone).
-    `basis`, `grad_lambda`, `area` and `moments` hold one row per class,
+    `basis`, `grad_lambda` and `area` hold one row per class,
     built on its first element: `basis[shape[e], i, p]` holds the Bernstein
     coefficients of basis function i of element e on part p.  The per-element
     arrays are `verts`, `node_xy`, `lap_xy`, `shape` and the int32
@@ -181,7 +182,6 @@ class Space:
     area: np.ndarray                # (S, parts)
     node_xy: np.ndarray             # (E, n_node, 2) points of the node slots
     lap_xy: np.ndarray | None       # (E, 2) Laplacian points: p2c, p2nc, p3
-    moments: np.ndarray | None      # (S, d, nc_{k-3}) pk_interp: orthonormal p_j
     shape: np.ndarray               # (E,) class of every element
 
     @property
@@ -222,7 +222,6 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     alphas, n_interior = el.slot_layout(family, k)
     nb, parts = len(alphas) + n_interior, verts.shape[1]
     basis = np.empty((len(first), nb, parts, num_coeffs(k)))
-    moments = np.empty((len(first), n_interior, n_interior)) if family == "pk_interp" else None
     step = block_size(k, nb, parts)
     for start in range(0, len(first), step):
         s = slice(start, start + step)
@@ -230,7 +229,7 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
         if family == "p2c_interp":
             basis[s] = el.build_p2c_macro_basis(rep, lap_xy[first[s]])
         elif family == "pk_interp":
-            basis[s], moments[s] = el.build_pk_basis(rep, k)
+            basis[s] = el.build_pk_basis(rep, k)
         elif family == "pk_lagrange":
             basis[s] = el.build_lagrange_basis(rep, k)
         elif family == "p3_interp":
@@ -240,7 +239,7 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     node_xy = (np.array(alphas, dtype=float) / k) @ corners
     return Space(mesh=mesh, family=family, k=k, dof_map=dof_map, basis=basis,
                  verts=verts, grad_lambda=grad_lambda[first], area=area[first],
-                 node_xy=node_xy, lap_xy=lap_xy, moments=moments, shape=shape)
+                 node_xy=node_xy, lap_xy=lap_xy, shape=shape)
 
 
 def _classes(grad_lambda, area) -> tuple[np.ndarray, np.ndarray]:
@@ -280,46 +279,26 @@ def element_blocks(space: Space, tabulate=lambda *rows: ()):
             yield e, space.verts[e], space.area[space.shape[e]], tuple(t[at] for t in rows)
 
 
-def interior_coefficients(space: Space, f) -> np.ndarray:
-    """Coefficients of the interpolated interior basis functions, (E, n_int).
-
-    Pointwise families take f at the Laplacian point (the -1 normalization
-    makes the coefficient +f); the moment element takes c_j = -int p_j b f,
-    the value the moment functional assumes on the exact solution.
-    """
-    if space.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
-        return f(space.lap_xy[:, 0], space.lap_xy[:, 1])[:, None]
-    if space.family != "pk_interp":
-        return np.zeros((space.n_elements, 0))
-    rule = make_quad_rule(load_rule_degree(space.k))
-    bv = rule.bernstein(3) @ el.BUBBLE
-    low = rule.bernstein(space.k - 3)
-    c = np.zeros((space.n_elements, space.dof_map.interp_mask.sum()))
-    for e, verts, area, _ in element_blocks(space):
-        pj = space.moments[space.shape[e]]
-        xy = rule.points @ verts[:, 0]
-        fv = f(xy[..., 0], xy[..., 1])
-        w = rule.weights * area
-        for j in range(pj.shape[1]):
-            pv = (low @ pj[:, j, :, None])[..., 0]            # one gemv per p_j
-            c[e, j] = (-(w * bv * pv)[:, None, :] @ fv[:, :, None])[:, 0, 0]
-    return c
-
-
 @dataclass
 class SparseSystem:
     """Reduced Galerkin system: A x = F over the free DOFs."""
 
     A: sp.csr_array
     F: np.ndarray
-    interp_coeffs: np.ndarray    # (E, n_interp per element); zero columns for baselines
+    # (E, n_interp per element): f at the Laplacian point, or the moment
+    # element's c_j = int psi_j f; zero columns for the baselines
+    interp_coeffs: np.ndarray
 
 
 def assemble_system(space: Space, f) -> SparseSystem:
     """Assemble the reduced system on a Space for right-hand side f(x, y).
 
     Stiffness uses elementwise (broken) gradients; the known interpolated
-    interior part is moved to the right-hand side.
+    interior part is moved to the right-hand side.  Pointwise families take
+    f at the Laplacian point as the interior coefficient (the -1
+    normalization makes it +f).  The moment element's interior functions
+    are psi_j = -b p_j, so its c_j = -int p_j b f, the value the moment
+    functional assumes on the exact solution, is the load entry int psi_j f.
     """
     dm = space.dof_map
     k = space.k
@@ -349,7 +328,12 @@ def assemble_system(space: Space, f) -> SparseSystem:
             xy = load_rule.points @ verts[:, part]
             fv = f(xy[..., 0], xy[..., 1])
             L[e] += (av[part] @ (load_rule.weights * fv)[:, :, None])[..., 0]
-    c = interior_coefficients(space, f)                   # (E, n_interp)
+    if space.family == "pk_interp":
+        c = L[:, dm.interp_mask]                          # (E, n_interp)
+    elif dm.interp_mask.any():
+        c = f(space.lap_xy[:, 0], space.lap_xy[:, 1])[:, None]
+    else:
+        c = np.zeros((dm.n_elements, 0))
 
     # The order of the COO entries (element, local row, local column) and of
     # the additions into F fixes the rounding of A and F, and CG at the

@@ -194,7 +194,7 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             continue
         u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
         with _timed(timings, "interpolate"):
-            i_h = interpolate_exact(problem.u, problem.f, space)
+            i_h = interpolate_exact(problem.u, problem.f, space, system.interp_coeffs)
         with _timed(timings, "norms"):
             l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
         # order_* hold their JSON key position until every level is done

@@ -264,9 +264,9 @@ def gram_schmidt_pj(verts, k: int) -> np.ndarray:
     return coeffs
 
 
-def build_pk_basis(verts, k: int) -> tuple[np.ndarray, np.ndarray]:
+def build_pk_basis(verts, k: int) -> np.ndarray:
     """Dual bases (E, nb, 1, nc) to {3k boundary node values} + {weighted-
-    Laplacian moments}, and the moment polynomials p_j (E, d, nc_{k-3}).
+    Laplacian moments}, with the moment polynomials p_j of gram_schmidt_pj.
 
     Moment functionals: G_j(u) = int_K p_j b Lap(u); the dual interior
     functions satisfy psi_j = -b p_j.  The element inverts the full
@@ -296,7 +296,7 @@ def build_pk_basis(verts, k: int) -> tuple[np.ndarray, np.ndarray]:
         e = np.argmax(bad)
         raise ValueError(f"unisolvence failure: functional matrix condition "
                          f"{cond[e]:.3e} on triangle {verts[e].tolist()}")
-    return np.linalg.inv(M).transpose(0, 2, 1)[:, :, None, :], pj
+    return np.linalg.inv(M).transpose(0, 2, 1)[:, :, None, :]
 
 
 # --- P2 conforming macro element -------------------------------------------

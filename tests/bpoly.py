@@ -134,6 +134,6 @@ def bpoly_from_point_values(k: int, values, geom: TriGeom) -> BPoly:
 
 
 def per_element(space, name, eid=slice(None)):
-    """Rows of the per-class Space array `name` (basis, grad_lambda, area or
-    moments) for element(s) eid, gathered by the class index `space.shape`."""
+    """Rows of the per-class Space array `name` (basis, grad_lambda or area)
+    for element(s) eid, gathered by the class index `space.shape`."""
     return getattr(space, name)[space.shape[eid]]

@@ -25,7 +25,7 @@ from igfem.cli import ExperimentConfig, PROBLEMS, fixed_sci, run_experiment
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             boundary_multi_indices, build_fs_bubble,
                             build_p2c_macro_basis, build_p3_basis, build_pk_basis,
-                            laplacian_operator)
+                            gram_schmidt_pj, laplacian_operator)
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
 from igfem.poly import bernstein_values, make_quad_rule, multi_indices, num_coeffs
 from igfem.solver import cg_solve, estimate_condition
@@ -81,7 +81,8 @@ def interpolation_h1(family, k, level):
         problem = PROBLEMS["sine"]
         space = build_space(build_crisscross_mesh(level), family, k)
         _, _INTERP_H1[key] = error_norms(
-            problem, interpolate_exact(problem.u, problem.f, space))
+            problem, interpolate_exact(problem.u, problem.f, space,
+                                       assemble_system(space, problem.f).interp_coeffs))
     return _INTERP_H1[key]
 
 
@@ -335,9 +336,8 @@ def _unisolvence_checks(problems):
     # Pk round trips and dual residuals
     for k in (4, 5, 6):
         for geom in _random_geoms(rng, 2) + _perturbed_geoms(1):
-            basis, pjs = build_pk_basis(geom.vertices[None], k)
-            basis = basis[0]
-            pjs = [BPoly(k - 3, pj, geom) for pj in pjs[0]]
+            basis = build_pk_basis(geom.vertices[None], k)[0]
+            pjs = [BPoly(k - 3, pj, geom) for pj in gram_schmidt_pj(geom.vertices[None], k)[0]]
             node_bary = np.array(boundary_multi_indices(k), dtype=float) / k
             rule = make_quad_rule(2 * k)
             w = rule.weights * geom.area
@@ -433,8 +433,7 @@ def _interior_orthogonality_check(problems):
         xy = rule.points @ space.verts[eid, 0]
         w = rule.weights * per_element(space, "area", eid)[0]
         fv = patch.f(xy[:, 0], xy[:, 1])
-        for j in range(space.moments.shape[1]):
-            slot = 12 + j
+        for slot in np.flatnonzero(space.dof_map.interp_mask):
             resid = w @ np.sum(uh_grad * grads[slot], axis=1) - w @ (fv * vals[slot])
             if abs(resid) > 1e-9:
                 problems.append("interior test-function orthogonality "

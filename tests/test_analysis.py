@@ -6,8 +6,7 @@ import math
 from bpoly import TriGeom, domain_points, per_element
 from igfem.analysis import (FeFunction, convergence_orders, error_norms,
                             interpolate_exact)
-from igfem.assembly import assemble_system, build_space, interior_coefficients, \
-    norm_rule_degree
+from igfem.assembly import assemble_system, build_space, norm_rule_degree
 from igfem.cli import PROBLEMS
 from igfem.elements import block_gradients, block_values, laplacian_operator
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
@@ -52,6 +51,11 @@ def solve(space, problem, tol=1e-13):
     else:
         x = np.zeros(0)
     return FeFunction.from_dofs(space, x, system.interp_coeffs)
+
+
+def interpolant(u, f, space):
+    """I_h u, with the interior coefficients of the system assembled for f."""
+    return interpolate_exact(u, f, space, assemble_system(space, f).interp_coeffs)
 
 
 def zero_function(space):
@@ -111,7 +115,7 @@ def test_norm_homogeneity():
 def test_triangle_inequality_sanity(family, k):
     space = build_space(build_crisscross_mesh(3), family, k)
     u_h = solve(space, SINE)
-    i_h = interpolate_exact(SINE.u, SINE.f, space)
+    i_h = interpolant(SINE.u, SINE.f, space)
     e_tot = error_norms(SINE, u_h)
     e_int = error_norms(SINE, i_h)
     e_h = error_norms(i_h, u_h)
@@ -121,7 +125,7 @@ def test_triangle_inequality_sanity(family, k):
 
 def test_lagrange_interpolant_is_nodal():
     space = build_space(build_crisscross_mesh(2), "pk_lagrange", 3)
-    i_h = interpolate_exact(SINE.u, SINE.f, space)
+    i_h = interpolant(SINE.u, SINE.f, space)
     for eid in range(space.n_elements):
         local = i_h.coeffs[eid]
         for loc, (x, y) in enumerate(space.node_xy[eid]):
@@ -133,7 +137,7 @@ def test_lagrange_interpolant_is_nodal():
 def test_interpolant_of_zero_is_zero():
     space = build_space(build_crisscross_mesh(2), "pk_interp", 4)
     zero_problem = lambda x, y: 0.0 * x
-    i_h = interpolate_exact(zero_problem, zero_problem, space)
+    i_h = interpolant(zero_problem, zero_problem, space)
     assert i_h.coeffs.shape == space.dof_map.dofs.shape
     assert np.allclose(i_h.coeffs, 0.0)
 
@@ -141,7 +145,7 @@ def test_interpolant_of_zero_is_zero():
 def test_patch_function_interpolates_exactly():
     # u = x(1-x)y(1-y) lies in the degree-4 trial space
     space = build_space(build_crisscross_mesh(2), "pk_interp", 4)
-    i_h = interpolate_exact(PATCH.u, PATCH.f, space)
+    i_h = interpolant(PATCH.u, PATCH.f, space)
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.0, 1.0, size=(50, 2))
     # locate each point's triangle by brute force and evaluate
@@ -164,7 +168,7 @@ def test_nc_interpolant_reproduces_local_trial_functions():
     # bubble coefficient comes out right and I_h u = u elementwise
     u = lambda x, y: x ** 2 + y ** 2
     f = lambda x, y: -4.0 + 0.0 * x
-    i_h = interpolate_exact(u, f, space)
+    i_h = interpolant(u, f, space)
     rule_pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]])
     for eid in range(space.n_elements):
         geom = element_geom(space, eid)
@@ -175,14 +179,17 @@ def test_nc_interpolant_reproduces_local_trial_functions():
 
 
 @pytest.mark.parametrize("family,k", [("p2c_interp", 2), ("p2nc_interp", 2),
-                                      ("p3_interp", 3), ("pk_interp", 5)])
+                                      ("p3_interp", 3), ("pk_interp", 5), ("pk_interp", 8)])
 def test_eh_has_zero_interior_coefficients(family, k):
+    # u_h and I_h u hold the one interior array the assembly computed
     space = build_space(build_crisscross_mesh(2), family, k)
-    u_h = solve(space, SINE)
-    i_h = interpolate_exact(SINE.u, SINE.f, space)
+    system = assemble_system(space, SINE.f)
+    x, _ = cg_solve(system.A, system.F, rel_tol=1e-13)
+    u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
+    i_h = interpolate_exact(SINE.u, SINE.f, space, system.interp_coeffs)
     interp = space.dof_map.interp_mask
     assert interp.any()
-    assert np.allclose(u_h.coeffs[:, interp], i_h.coeffs[:, interp], atol=1e-14)
+    assert np.array_equal(u_h.coeffs[:, interp], i_h.coeffs[:, interp])
 
 
 def test_error_norms_rejects_mismatched_spaces():
@@ -254,9 +261,10 @@ def _reference_error_norms(a, b):
     return math.sqrt(abs(l2_sq)), math.sqrt(abs(h1_sq))
 
 
-def _reference_interpolant(u, f, space):
+def _reference_interpolant(u, interior, space):
     """The conforming interpolant as a loop over elements and node slots:
-    a node shared by several elements takes u at the last one's point."""
+    a node shared by several elements takes u at the last one's point, and
+    the interpolated slots take the interior coefficients given."""
     dm = space.dof_map
     free = np.zeros(dm.n_free)
     for eid in range(space.n_elements):
@@ -264,7 +272,6 @@ def _reference_interpolant(u, f, space):
             if loc < space.node_xy.shape[1]:    # a node slot
                 x, y = space.node_xy[eid, loc]
                 free[dm.dofs[eid, loc]] = u(x, y)
-    interior = interior_coefficients(space, f)
     coeffs = np.zeros(dm.dofs.shape)
     for eid in range(space.n_elements):
         for loc in np.flatnonzero(dm.dofs[eid] >= 0):
@@ -298,8 +305,9 @@ def _reference_nc_interpolant(u, f, space):
 def test_interpolant_and_norms_bit_identical_to_element_loop(family, k, level, perturb):
     space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
     u_h = solve(space, SINE)
-    i_h = interpolate_exact(SINE.u, SINE.f, space)
-    ref = _reference_interpolant(SINE.u, SINE.f, space)
+    interior = assemble_system(space, SINE.f).interp_coeffs
+    i_h = interpolate_exact(SINE.u, SINE.f, space, interior)
+    ref = _reference_interpolant(SINE.u, interior, space)
     assert np.array_equal(i_h.coeffs, ref.coeffs)
     assert error_norms(i_h, u_h) == _reference_error_norms(ref, u_h)
     assert error_norms(SINE, u_h) == _reference_error_norms(SINE, u_h)
@@ -316,7 +324,7 @@ def test_nc_interpolant_matches_least_squares_loop(family, level, perturb):
     # the rounding changes, so e_h agrees to a tolerance, not bit for bit
     space = build_space(build_crisscross_mesh(level, perturb=perturb), family)
     u_h = solve(space, SINE)
-    e_h = error_norms(interpolate_exact(SINE.u, SINE.f, space), u_h)
+    e_h = error_norms(interpolant(SINE.u, SINE.f, space), u_h)
     e_ref = error_norms(_reference_nc_interpolant(SINE.u, SINE.f, space), u_h)
     assert e_h == pytest.approx(e_ref, rel=1e-9, abs=0.0)
     assert error_norms(SINE, u_h) == _reference_error_norms(SINE, u_h)

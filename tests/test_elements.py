@@ -59,8 +59,8 @@ def p3_basis(geom):
 
 def pk_basis(geom, k):
     """The degree-k moment element's basis (nb, 1, nc) and p_j (d, nc_{k-3})."""
-    basis, pj = build_pk_basis(geom.vertices[None], k)
-    return basis[0], pj[0]
+    return (build_pk_basis(geom.vertices[None], k)[0],
+            gram_schmidt_pj(geom.vertices[None], k)[0])
 
 
 def lagrange_basis(geom, k):
@@ -690,10 +690,10 @@ def _reference_space_arrays(mesh, family, k):
         for tri in mesh.triangles:
             geom = TriGeom.from_vertices(mesh.vertices[tri])
             out.append(([geom], *build(geom)))
-    geoms, basis, node_xy, lap_xy, moments = zip(*out)
+    geoms, basis, node_xy, lap_xy, pj = zip(*out)
     return {"basis": np.array(basis), "node_xy": np.array(node_xy),
             "lap_xy": None if lap_xy[0] is None else np.array(lap_xy),
-            "moments": None if moments[0] is None else np.array(moments),
+            "pj": None if pj[0] is None else np.array(pj),
             "verts": np.array([[g.vertices for g in gs] for gs in geoms]),
             "grad_lambda": np.array([[g.grad_lambda for g in gs] for gs in geoms]),
             "area": np.array([[g.area for g in gs] for gs in geoms])}
@@ -716,9 +716,16 @@ def test_stacked_bases_bit_identical_to_element_builders(family, k, level, pertu
     mesh = build_crisscross_mesh(level, perturb=perturb)
     space = build_space(mesh, family, k)
     ref = _reference_space_arrays(mesh, family, k)
+    # the moment polynomials build_pk_basis builds its bases with
+    pj = ref.pop("pj")
+    if family == "pk_interp":
+        got = gram_schmidt_pj(mesh.vertices[mesh.triangles], k)
+        assert got.shape == pj.shape and np.array_equal(got, pj), "pj"
+    else:
+        assert pj is None
     for name, want in ref.items():
         got = getattr(space, name)
-        if name in ("basis", "grad_lambda", "area", "moments") and got is not None:
+        if name in ("basis", "grad_lambda", "area"):
             assert len(got) == space.shape.max() + 1, name
             got = per_element(space, name)
         if want is None:
