@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements as el
-from .assembly import Space, element_blocks, norm_rule_degree
+from .assembly import Space, corner_ids, element_blocks, norm_rule_degree
 from .mesh import triangle_gauss_points
 from .poly import _collocation_inverse, bernstein_values, make_quad_rule
 
@@ -61,28 +61,29 @@ def interpolate_exact(u, f, space: Space, interior: np.ndarray) -> FeFunction:
     Boundary-type node DOFs take u(node); the interpolated interior slots
     take `interior` (E, n_interp per element), the f-derived coefficients
     of the assembled solution, `SparseSystem.interp_coeffs`.  Lagrange
-    elements use the full nodal interpolant.  f gives the p2nc bubble.
+    elements use the full nodal interpolant.  f gives p2nc_std's bubble.
     """
     if space.family in ("p2nc_interp", "p2nc_std"):
-        gp = triangle_gauss_points(space.verts[:, 0])                # (E, 6, 2)
+        gp = triangle_gauss_points(space.vertices()[:, 0])           # (E, 6, 2)
         a = u(gp[..., 0], gp[..., 1]) @ _NC_FIT.T
-        bubble = f(*space.lap_xy.T)
-        if space.family == "p2nc_std":
-            # same function in the plain-nodal basis: the bubble picks up the
-            # nodal functions' Laplacian content; the Bernstein quadratic of
-            # e_i + e_j has Laplacian (2 if i == j else 4) grad l_i . grad l_j
-            g = space.grad_lambda[space.shape, 0]
-            i, j = np.array([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]).T
-            lap = np.where(i == j, 2.0, 4.0) * np.sum(g[:, i] * g[:, j], axis=2)
-            bubble = np.sum(a * (lap @ _collocation_inverse(2)), axis=1) + bubble
+        if space.family == "p2nc_interp":
+            return FeFunction(space, np.column_stack([a, interior[:, 0]]))
+        # same function in the plain-nodal basis: the bubble picks up the
+        # Laplacians of the nodal functions, one row per class
+        lap = el.laplacian_operator(2, space.grad_lambda[:, 0]) @ \
+            space.basis[:, :6, 0].transpose(0, 2, 1)                 # (S, 1, 6)
+        bubble = np.sum(a * lap[space.shape, 0], axis=1) + f(*space.lap_xy.T)
         return FeFunction(space, np.column_stack([a, bubble]))
 
     # u once per free node; a node shared by several elements takes its
     # point from the last of them, whose coordinates may differ in the last bit
     dm = space.dof_map
-    g = dm.dofs[:, :space.node_xy.shape[1]].ravel()
+    alphas = el.slot_layout(space.family, space.k)[0]
+    node_xy = (np.array(alphas, dtype=float) / space.k) @ \
+        space.mesh.vertices[corner_ids(space.mesh, space.family)]    # (E, n_node, 2)
+    g = dm.dofs[:, :len(alphas)].ravel()
     keys, first_rev = np.unique(g[::-1], return_index=True)
-    xy = space.node_xy.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
+    xy = node_xy.reshape(-1, 2)[(len(g) - 1 - first_rev)[keys >= 0]]
     return FeFunction.from_dofs(space, u(xy[:, 0], xy[:, 1]), interior)
 
 

@@ -103,6 +103,12 @@ class DofMap:
         return int((~self.interp_mask).sum())
 
 
+def corner_ids(mesh: Mesh, family: str) -> np.ndarray:
+    """The vertex ids (E, 3 or 4) the node multi-indices of every element run
+    over: a macro square's four corners for p2c, else the triangle's three."""
+    return mesh.macro_corners if family == "p2c_interp" else mesh.triangles
+
+
 def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     """Number global DOFs: shared entities identified, boundary DOFs constrained.
 
@@ -116,8 +122,7 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     if family == "p2c_interp" and mesh.perturbation != 0.0:
         raise ValueError("p2c_interp requires an unperturbed criss-cross mesh")
 
-    # the vertices the node multi-indices run over, per element
-    ents = mesh.macro_corners if family == "p2c_interp" else mesh.triangles
+    ents = corner_ids(mesh, family)
     t = np.arange(len(ents))
     alphas, n_interior = el.slot_layout(family, k)
     interior = sorted(a for a in multi_indices(k) if min(a) > 0)
@@ -163,13 +168,13 @@ class Space:
     """Mesh + family + the local bases of its element classes + global DOF map.
 
     Element e (a triangle, or a macro square for p2c) has parts p, the
-    triangles its basis is polynomial on.  Its class `shape[e]` holds the
-    elements with its grad_lambda and area bytes (for pk_interp, e alone).
-    `basis`, `grad_lambda` and `area` hold one row per class,
-    built on its first element: `basis[shape[e], i, p]` holds the Bernstein
-    coefficients of basis function i of element e on part p.  The per-element
-    arrays are `verts`, `node_xy`, `lap_xy`, `shape` and the int32
-    `dof_map.dofs`.
+    triangles its basis is polynomial on: the mesh's triangles e, or a macro's
+    four consecutive triangles.  Its class `shape[e]` holds the elements with
+    its grad_lambda and area bytes (for pk_interp, e alone).  `basis`,
+    `grad_lambda` and `area` hold one row per class, built on its first
+    element: `basis[shape[e], i, p]` holds the Bernstein coefficients of basis
+    function i of element e on part p.  The per-element arrays are `lap_xy`,
+    `shape` and the int32 `dof_map.dofs`; the vertices stay in the mesh.
     """
 
     mesh: Mesh
@@ -177,16 +182,18 @@ class Space:
     k: int
     dof_map: DofMap
     basis: np.ndarray               # (S, nb, parts, nc), C-contiguous
-    verts: np.ndarray               # (E, parts, 3, 2)
     grad_lambda: np.ndarray         # (S, parts, 3, 2)
     area: np.ndarray                # (S, parts)
-    node_xy: np.ndarray             # (E, n_node, 2) points of the node slots
-    lap_xy: np.ndarray | None       # (E, 2) Laplacian points: p2c, p2nc, p3
+    lap_xy: np.ndarray              # (E, 2) the mean of the element's corners
     shape: np.ndarray               # (E,) class of every element
 
     @property
     def n_elements(self) -> int:
         return len(self.shape)
+
+    def vertices(self, e=slice(None)) -> np.ndarray:
+        """Vertices (B, parts, 3, 2) of the parts of elements e, from the mesh."""
+        return self.mesh.vertices[self.mesh.triangles.reshape(self.n_elements, -1, 3)[e]]
 
 
 BLOCK_BYTES = 256 * 1024   # per block's gradient table; larger blocks raise peak memory
@@ -202,17 +209,8 @@ def block_size(k: int, nb: int, parts: int) -> int:
 def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     k = resolve_degree(family, k)
     dof_map = build_dof_map(mesh, family, k)
-    lap_xy = None
-    if family == "p2c_interp":
-        corners = mesh.vertices[mesh.macro_corners]                 # (M, 4, 2)
-        lap_xy = mesh.vertices[mesh.macro_centers]
-        verts = np.stack([corners, np.roll(corners, -1, axis=1),
-                          np.repeat(lap_xy[:, None], 4, axis=1)], axis=2)
-    else:
-        corners = mesh.vertices[mesh.triangles]                     # (T, 3, 2)
-        verts = corners[:, None]
-        if family in ("p2nc_interp", "p2nc_std", "p3_interp"):
-            lap_xy = corners.mean(axis=1)
+    corners = mesh.vertices[corner_ids(mesh, family)]               # (E, 3 or 4, 2)
+    verts = mesh.vertices[mesh.triangles].reshape(len(corners), -1, 3, 2)
     grad_lambda, area = triangle_geometry(verts)
     if family == "pk_interp":      # its Gram-Schmidt reads absolute coordinates
         shape = first = np.arange(len(area))
@@ -226,8 +224,8 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
     for start in range(0, len(first), step):
         s = slice(start, start + step)
         rep = corners[first[s]]
-        if family == "p2c_interp":
-            basis[s] = el.build_p2c_macro_basis(rep, lap_xy[first[s]])
+        if family == "p2c_interp":      # checked against the mesh's centre vertex
+            basis[s] = el.build_p2c_macro_basis(rep, verts[first[s], 0, 2])
         elif family == "pk_interp":
             basis[s] = el.build_pk_basis(rep, k)
         elif family == "pk_lagrange":
@@ -236,10 +234,9 @@ def build_space(mesh: Mesh, family: str, k: int | None = None) -> Space:
             basis[s] = el.build_p3_basis(rep)
         else:
             basis[s] = el.build_p2nc_element(rep, standard=family == "p2nc_std")
-    node_xy = (np.array(alphas, dtype=float) / k) @ corners
     return Space(mesh=mesh, family=family, k=k, dof_map=dof_map, basis=basis,
-                 verts=verts, grad_lambda=grad_lambda[first], area=area[first],
-                 node_xy=node_xy, lap_xy=lap_xy, shape=shape)
+                 grad_lambda=grad_lambda[first], area=area[first],
+                 lap_xy=corners.mean(axis=1), shape=shape)
 
 
 def _classes(grad_lambda, area) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +251,7 @@ def _classes(grad_lambda, area) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(order)[group], first[order]
 
 
-def element_blocks(space: Space, tabulate=lambda *rows: ()):
+def element_blocks(space: Space, tabulate):
     """Blocks of elements in class order as (element ids (B,), vertices (B,
     parts, 3, 2), area (B, parts), tables), where tables are the arrays
     tabulate(basis, grad_lambda, area) returns, gathered to the block's elements.
@@ -276,7 +273,7 @@ def element_blocks(space: Space, tabulate=lambda *rows: ()):
         for start in range(lo, hi, step):
             e = order[start:min(start + step, hi)]
             at = space.shape[e] - c0
-            yield e, space.verts[e], space.area[space.shape[e]], tuple(t[at] for t in rows)
+            yield e, space.vertices(e), space.area[space.shape[e]], tuple(t[at] for t in rows)
 
 
 @dataclass

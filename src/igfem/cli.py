@@ -88,12 +88,9 @@ PROBLEMS = {
     "poly4": Problem("poly4", _poly4_u, _poly4_f, _poly4_grad),
 }
 
-_BASELINE = {
-    "p2c_interp": ("pk_lagrange", 2),
-    "p2nc_interp": ("p2nc_std", 2),
-    "p3_interp": ("pk_lagrange", 3),
-    "pk_interp": ("pk_lagrange", None),  # same degree
-}
+# every baseline runs at its family's degree
+_BASELINE = {"p2c_interp": "pk_lagrange", "p2nc_interp": "p2nc_std",
+             "p3_interp": "pk_lagrange", "pk_interp": "pk_lagrange"}
 
 
 @dataclass
@@ -124,8 +121,7 @@ class ExperimentConfig:
             raise ValueError(f"family {self.family} has no matching baseline")
 
     def baseline(self) -> tuple[str, int]:
-        fam, k = _BASELINE[self.family]
-        return fam, self.degree if k is None else k
+        return _BASELINE[self.family], self.degree     # as validate() resolved it
 
 
 _ROW_KEYS = ("level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",

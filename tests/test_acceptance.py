@@ -430,7 +430,7 @@ def _interior_orthogonality_check(problems):
         vals = block_values(basis, 4, rule.points)[0]
         grads = block_gradients(basis, 4, per_element(space, "grad_lambda", eid), rule.points)[0]
         uh_grad = np.einsum("n,npd->pd", local, grads)
-        xy = rule.points @ space.verts[eid, 0]
+        xy = rule.points @ space.vertices(eid)[0]
         w = rule.weights * per_element(space, "area", eid)[0]
         fv = patch.f(xy[:, 0], xy[:, 1])
         for slot in np.flatnonzero(space.dof_map.interp_mask):

@@ -6,9 +6,9 @@ import math
 from bpoly import TriGeom, domain_points, per_element
 from igfem.analysis import (FeFunction, convergence_orders, error_norms,
                             interpolate_exact)
-from igfem.assembly import assemble_system, build_space, norm_rule_degree
+from igfem.assembly import assemble_system, build_space, corner_ids, norm_rule_degree
 from igfem.cli import PROBLEMS
-from igfem.elements import block_gradients, block_values, laplacian_operator
+from igfem.elements import block_gradients, block_values, laplacian_operator, slot_layout
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
 from igfem.poly import make_quad_rule
 from igfem.solver import cg_solve
@@ -30,7 +30,14 @@ class Quadratic:
 
 
 def element_geom(space, eid, part=0):
-    return TriGeom.from_vertices(space.verts[eid, part])
+    return TriGeom.from_vertices(space.vertices(eid)[part])
+
+
+def node_points(space, eid):
+    """Points (n_node, 2) of element eid's node slots, (alpha / k) @ its corners."""
+    alphas = slot_layout(space.family, space.k)[0]
+    corners = space.mesh.vertices[corner_ids(space.mesh, space.family)[eid]]
+    return (np.array(alphas, dtype=float) / space.k) @ corners
 
 
 def basis_values(space, eid, bary, part=0):
@@ -128,7 +135,7 @@ def test_lagrange_interpolant_is_nodal():
     i_h = interpolant(SINE.u, SINE.f, space)
     for eid in range(space.n_elements):
         local = i_h.coeffs[eid]
-        for loc, (x, y) in enumerate(space.node_xy[eid]):
+        for loc, (x, y) in enumerate(node_points(space, eid)):
             on_boundary = space.dof_map.dofs[eid, loc] < 0
             expected = 0.0 if on_boundary else SINE.u(x, y)
             assert local[loc] == pytest.approx(expected, abs=1e-13)
@@ -245,7 +252,7 @@ def _reference_error_norms(a, b):
         for part, area in enumerate(per_element(space, "area", eid)):
             vals_tab = basis_values(space, eid, rule.points, part)
             grads_tab = basis_gradients(space, eid, rule.points, part)
-            xy = rule.points @ space.verts[eid, part]
+            xy = rule.points @ space.vertices(eid)[part]
             side = []
             for obj in (a, b):
                 if isinstance(obj, FeFunction):
@@ -268,9 +275,10 @@ def _reference_interpolant(u, interior, space):
     dm = space.dof_map
     free = np.zeros(dm.n_free)
     for eid in range(space.n_elements):
+        nodes = node_points(space, eid)
         for loc in np.flatnonzero(dm.dofs[eid] >= 0):
-            if loc < space.node_xy.shape[1]:    # a node slot
-                x, y = space.node_xy[eid, loc]
+            if loc < len(nodes):    # a node slot
+                x, y = nodes[loc]
                 free[dm.dofs[eid, loc]] = u(x, y)
     coeffs = np.zeros(dm.dofs.shape)
     for eid in range(space.n_elements):

@@ -26,7 +26,7 @@ PATCH = PROBLEMS["poly4"]
 
 
 def element_geom(space, eid, part=0):
-    return TriGeom.from_vertices(space.verts[eid, part])
+    return TriGeom.from_vertices(space.vertices(eid)[part])
 
 
 def solve(space, problem, tol=1e-13):
@@ -129,7 +129,7 @@ def test_interior_coefficients_match_moment_functionals_of_u():
     for k in (4, 8):
         space = build_space(mesh, "pk_interp", k)
         c = assemble_system(space, PATCH.f).interp_coeffs
-        pjs = gram_schmidt_pj(space.verts[:, 0], k)
+        pjs = gram_schmidt_pj(space.vertices()[:, 0], k)
         gj_u = np.zeros_like(c)
         for eid in range(space.n_elements):
             geom = element_geom(space, eid)
@@ -302,7 +302,7 @@ def _element_contribution(space, f, eid: int):
         grads = basis_gradients(space, eid, stiff_rule.points, part)   # (nb, P, 2)
         S += area * np.einsum("npd,mpd,p->nm", grads, grads, stiff_rule.weights)
         vals = basis_values(space, eid, load_rule.points, part)        # (nb, P)
-        xy = load_rule.points @ space.verts[eid, part]
+        xy = load_rule.points @ space.vertices(eid)[part]
         fv = f(xy[:, 0], xy[:, 1])
         L += area * vals @ (load_rule.weights * fv)
     c = _element_interior_coefficients(space, eid, f, L)
@@ -424,7 +424,7 @@ def _element_pass_outputs(family, k, level, perturb):
         system.interp_coeffs)
     arrays = [space.basis, system.A.indptr, system.A.indices, system.A.data, system.F,
               system.interp_coeffs, i_h.coeffs]
-    blocks = [len(e) for e, *_ in element_blocks(space)]
+    blocks = [len(e) for e, *_ in element_blocks(space, lambda *rows: ())]
     return arrays, error_norms(i_h, SINE, u), blocks
 
 
@@ -482,7 +482,7 @@ def test_walk_tabulates_class_blocks_once_in_class_order(
         assert 0 < len(e) <= step
         assert np.array_equal(classes, space.shape[e])
         assert np.array_equal(basis, space.basis[space.shape[e]])
-        assert np.array_equal(verts, space.verts[e])
+        assert np.array_equal(verts, space.mesh.vertices[space.mesh.triangles[e]][:, None])
         assert np.array_equal(area, named.area[space.shape[e]])
         walk.append(e)
     assert np.array_equal(np.concatenate(walk), np.argsort(space.shape, kind="stable"))
@@ -553,14 +553,43 @@ def test_equal_shape_means_equal_bits(family, k, level, perturb):
     assert np.array_equal(first, np.sort(first))
     assert len(space.basis) == len(space.grad_lambda) == len(space.area) == len(first)
     # every element's own geometry has its class row's bits
-    grad_lambda, area = triangle_geometry(space.verts)
+    grad_lambda, area = triangle_geometry(space.vertices())
     assert _equal_bits(grad_lambda, per_element(space, "grad_lambda"))
     assert _equal_bits(area, per_element(space, "area"))
 
 
+def test_p2c_parts_from_mesh_equal_stacked_parts():
+    # a macro's parts are the mesh's four consecutive triangles (corner p,
+    # corner p + 1, centre), and the mean of its corners is its centre vertex
+    for level in range(1, 9):
+        mesh = build_crisscross_mesh(level)
+        corners = mesh.vertices[mesh.macro_corners]
+        center = mesh.vertices[mesh.macro_centers]
+        stacked = np.stack([corners, np.roll(corners, -1, axis=1),
+                            np.repeat(center[:, None], 4, axis=1)], axis=2)
+        space = build_space(mesh, "p2c_interp")
+        assert _equal_bits(space.vertices(), stacked), level
+        assert _equal_bits(space.lap_xy, center), level
+
+
+@pytest.mark.parametrize("family,k", [("p2c_interp", None), ("p2nc_interp", None),
+                                      ("p2nc_std", None), ("p3_interp", None),
+                                      ("pk_lagrange", 3)])
+def test_space_keeps_no_per_element_geometry_but_lap_xy(family, k):
+    # the vertices stay in the mesh: of the Space's float arrays, only lap_xy
+    # has a row per element; the others have one per class, and there are fewer
+    space = build_space(build_crisscross_mesh(3), family, k)
+    assert len(space.basis) < space.n_elements
+    arrays = {f.name: getattr(space, f.name) for f in dataclasses.fields(space)}
+    per_element_floats = [name for name, a in arrays.items()
+                          if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+                          and len(a) == space.n_elements]
+    assert per_element_floats == ["lap_xy"]
+
+
 def test_shape_index_tells_signed_zeros_apart():
     space = build_space(build_crisscross_mesh(3), "pk_lagrange", 2)
-    grad_lambda, area = triangle_geometry(space.verts)
+    grad_lambda, area = triangle_geometry(space.vertices())
     e = np.flatnonzero(space.shape == space.shape[0])[1]
     grad_lambda[e][tuple(np.argwhere(grad_lambda[e] == 0.0)[0])] = -0.0
     assert np.array_equal(grad_lambda, per_element(space, "grad_lambda"))   # equal as numbers
@@ -618,7 +647,7 @@ def test_shared_tables_kept_up_to_a_block_boundary(monkeypatch):
     S = len(space.basis)
     split = _with_classes(space, space.shape + S * (np.arange(space.n_elements) % 3),
                           np.tile(np.arange(S), 3))
-    blocks = [len(e) for e, *_ in element_blocks(split)]
+    blocks = [len(e) for e, *_ in element_blocks(split, lambda *rows: ())]
     assert len(split.basis) == 12 and max(blocks) == 8 and min(blocks[:-1]) < 8
     _assert_same_outputs(split, own)
 
@@ -643,7 +672,7 @@ def test_each_shape_tabulated_once_per_rule(monkeypatch):
         counts.clear()
         space = build_space(build_crisscross_mesh(4, perturb=perturb), family)
         assert space.n_elements == 256 and len(space.basis) == S
-        assert len(list(element_blocks(space))) > 2
+        assert len(list(element_blocks(space, lambda *rows: ()))) > 2
         system = assemble_system(space, f=SINE.f)
         u = FeFunction.from_dofs(space, np.zeros(space.dof_map.n_free), system.interp_coeffs)
         error_norms(u, SINE)

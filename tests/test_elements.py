@@ -5,8 +5,8 @@ from math import factorial
 
 from bpoly import (BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
                    bpoly_laplacian, domain_points, per_element)
-from igfem.assembly import (block_size, build_space, load_rule_degree, norm_rule_degree,
-                            stiffness_rule_degree)
+from igfem.assembly import (block_size, build_space, corner_ids, load_rule_degree,
+                            norm_rule_degree, stiffness_rule_degree)
 from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
                             boundary_multi_indices, build_fs_bubble,
                             build_lagrange_basis, build_p2c_macro_basis,
@@ -554,7 +554,7 @@ def _ref_node_points(alphas, k, geom):
 def _ref_lagrange(geom, k):
     alphas = multi_indices(k)
     return (_collocation_inverse(k).T[:, None, :].copy(),
-            _ref_node_points(alphas, k, geom), None, None)
+            _ref_node_points(alphas, k, geom), geom.barycenter, None)
 
 
 def _ref_fs_bubble(geom):
@@ -635,7 +635,7 @@ def _ref_pk(geom, k):
     low = bernstein_values(k - 3, rule.points)
     moment_rows = np.array([((w * b_vals * (low @ pj)) @ lap_vals) for pj in pjs])
     C = np.linalg.inv(np.vstack([node_rows, moment_rows]))
-    return C.T[:, None, :].copy(), _ref_node_points(b_alphas, k, geom), None, pjs
+    return C.T[:, None, :].copy(), _ref_node_points(b_alphas, k, geom), geom.barycenter, pjs
 
 
 def _ref_p2c(corners, center):
@@ -692,7 +692,7 @@ def _reference_space_arrays(mesh, family, k):
             out.append(([geom], *build(geom)))
     geoms, basis, node_xy, lap_xy, pj = zip(*out)
     return {"basis": np.array(basis), "node_xy": np.array(node_xy),
-            "lap_xy": None if lap_xy[0] is None else np.array(lap_xy),
+            "lap_xy": np.array(lap_xy),
             "pj": None if pj[0] is None else np.array(pj),
             "verts": np.array([[g.vertices for g in gs] for gs in geoms]),
             "grad_lambda": np.array([[g.grad_lambda for g in gs] for gs in geoms]),
@@ -723,14 +723,16 @@ def test_stacked_bases_bit_identical_to_element_builders(family, k, level, pertu
         assert got.shape == pj.shape and np.array_equal(got, pj), "pj"
     else:
         assert pj is None
+    # the vertices and node points come from the mesh, as the passes take them
+    alphas = slot_layout(family, k)[0]
+    from_mesh = {"verts": space.vertices(),
+                 "node_xy": (np.array(alphas, dtype=float) / k)
+                 @ mesh.vertices[corner_ids(mesh, family)]}
     for name, want in ref.items():
-        got = getattr(space, name)
+        got = from_mesh[name] if name in from_mesh else getattr(space, name)
         if name in ("basis", "grad_lambda", "area"):
             assert len(got) == space.shape.max() + 1, name
             got = per_element(space, name)
-        if want is None:
-            assert got is None, name
-        else:
-            assert got.shape == want.shape and np.array_equal(got, want), name
+        assert got.shape == want.shape and np.array_equal(got, want), name
     # BLAS products with the basis round by its layout
     assert space.basis.flags.c_contiguous
