@@ -81,8 +81,8 @@ class DofMap:
     where that slot has none: a Dirichlet boundary slot, or an interpolated
     slot.  The interpolated slots sit at the same local positions in every
     element (`interp_mask`); their coefficients come from f.  The table is
-    int32, so the COO coordinates gathered from it, and the CSR indices of
-    the assembled matrix, are int32 too.
+    int32, so the CSR indices and index pointer of the assembled matrix are
+    int32 too.
     """
 
     n_free: int
@@ -298,6 +298,29 @@ def assemble_system(space: Space, f) -> SparseSystem:
     functional assumes on the exact solution, is the load entry int psi_j f.
     """
     dm = space.dof_map
+    S, L, c = _element_tables(space, f)
+    # The order of the entries of every global row and of the additions into
+    # F fixes the rounding of A and F, and CG at the default tolerance is
+    # sensitive to their last bits.
+    free = dm.dofs >= 0
+    # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated j
+    terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
+                           axis=2)
+    F = np.zeros(dm.n_free)
+    np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
+              terms[free].ravel())
+    del L, terms
+    data, indices, indptr = _unsummed_csr(dm, S)
+    del S
+    A = sp.csr_array((data, indices, indptr), shape=(dm.n_free, dm.n_free))
+    A.sum_duplicates()
+    return SparseSystem(A=A, F=F, interp_coeffs=c)
+
+
+def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every element's stiffness matrix (E, nb, nb) and load vector (E, nb),
+    and the interior coefficients (E, n_interp per element)."""
+    dm = space.dof_map
     k = space.k
     parts = range(space.basis.shape[2])
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
@@ -331,24 +354,44 @@ def assemble_system(space: Space, f) -> SparseSystem:
         c = f(space.lap_xy[:, 0], space.lap_xy[:, 1])[:, None]
     else:
         c = np.zeros((dm.n_elements, 0))
+    return S, L, c
 
-    # The order of the COO entries (element, local row, local column) and of
-    # the additions into F fixes the rounding of A and F, and CG at the
-    # default tolerance is sensitive to their last bits.
+
+def _unsummed_csr(dm: DofMap, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's CSR arrays (data, indices, indptr) before its duplicates are summed.
+
+    Global row g holds, in element order, the free local rows (e, a) with
+    dofs[e, a] == g, each as its free columns S[e, a, m] in local order: the
+    order in which a COO -> CSR conversion places the entries (element, local
+    row, local column).  Summing the duplicates sorts and adds each row as
+    that conversion does, so A keeps its bits.  data is filled a slice of
+    rows at a time; a slice's rows of S and their free entries take at most
+    BLOCK_BYTES.
+    """
+    E, nb = dm.dofs.shape
     free = dm.dofs >= 0
-    # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated j
-    terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
-                           axis=2)
-    F = np.zeros(dm.n_free)
-    np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
-              terms[free].ravel())
-    # the conversion holds the COO triples and the CSR arrays at once, so
-    # the element tables go first; int32 DOFs keep both index arrays int32
-    pair = free[:, :, None] & free[:, None, :]
-    vals = S[pair]
-    del S, L, terms
-    rows = np.broadcast_to(dm.dofs[:, :, None], pair.shape)[pair]
-    cols = np.broadcast_to(dm.dofs[:, None, :], pair.shape)[pair]
-    del pair
-    A = sp.coo_array((vals, (rows, cols)), shape=(dm.n_free, dm.n_free)).tocsr()
-    return SparseSystem(A=A, F=F, interp_coeffs=c)
+    rows = np.flatnonzero(free)                           # e * nb + a
+    g = dm.dofs.ravel()[rows]
+    width = free.sum(axis=1)                              # free columns per row of e
+    counts = np.bincount(g, weights=width[rows // nb], minlength=dm.n_free).astype(np.int64)
+    nnz = int(counts.sum())
+    # int32 DOFs give int32 indices and indptr wherever the entries fit
+    index_dtype = sp.get_index_dtype(dm.dofs, maxval=max(nnz, dm.n_free))
+    indptr = np.zeros(dm.n_free + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    rows = rows[np.argsort(g, kind="stable")]
+    del g, counts
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index_dtype)
+    S = S.reshape(E * nb, nb)
+    step = max(1, BLOCK_BYTES // (2 * S[0].nbytes))
+    at = 0
+    for start in range(0, len(rows), step):
+        r = rows[start:start + step]
+        cols = dm.dofs.take(r // nb, axis=0)
+        free_cols = cols >= 0
+        n = at + np.count_nonzero(free_cols)
+        data[at:n] = S.take(r, axis=0)[free_cols]
+        indices[at:n] = cols[free_cols]
+        at = n
+    return data, indices, indptr

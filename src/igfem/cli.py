@@ -169,45 +169,10 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
                 condition: bool, failures: list) -> list[dict]:
     rows = []
     for level in levels:
-        timings: dict = {}
-        with _timed(timings, "mesh"):
-            mesh = build_crisscross_mesh(level)
-        with _timed(timings, "space"):
-            space = build_space(mesh, family, k)
-        with _timed(timings, "assemble"):
-            system = assemble_system(space, problem.f)
-        dm = space.dof_map
-        x, iters, residual = np.zeros(0), 0, 0.0
-        try:
-            with _timed(timings, "cg"):
-                if dm.n_free:
-                    x, stats = cg_solve(system.A, system.F, rel_tol=tol)
-                    iters, residual = stats.iterations, stats.relative_residual
-        except SolverError as err:
-            failures.append((level, f"{family} level {level}: {err}"))
-            logging.getLogger(__name__).warning(
-                "solver failure: %s level %s: %s", family, level, err)
-            continue
-        u_h = FeFunction.from_dofs(space, x, system.interp_coeffs)
-        with _timed(timings, "interpolate"):
-            i_h = interpolate_exact(problem.u, problem.f, space, system.interp_coeffs)
-        with _timed(timings, "norms"):
-            l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
-        # order_* hold their JSON key position until every level is done
-        row = {"level": level, "h": mesh.h, "free_dofs": dm.n_free,
-               "interp_dofs": dm.n_interp, "l2_ih": l2_ih, "h1_ih": h1_ih,
-               "l2_true": l2_true, "h1_true": h1_true, "order_l2": None,
-               "order_h1": None, "cg_iters": iters, "cg_residual": residual}
-        if condition and dm.n_free:
-            with _timed(timings, "condition"):
-                est = estimate_condition(system.A)
-            row["cond_est"] = est.condition
-            row["lambda_max"] = est.lambda_max
-            row["lambda_min"] = est.lambda_min_nonzero
-            row["cond_converged"] = est.converged
-        # seconds per phase, for the JSON report; CSV and text leave them out
-        row["timings"] = timings
-        rows.append(row)
+        # a level's mesh, space and system are gone before the next is built
+        row = _run_level(family, k, level, problem, tol, condition, failures)
+        if row is not None:
+            rows.append(row)
     for key, okey in (("l2_ih", "order_l2"), ("h1_ih", "order_h1")):
         orders = convergence_orders([r[key] for r in rows])
         for r, o in zip(rows, orders):
@@ -217,6 +182,54 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
             if r["level"] != prev["level"] + 1:
                 r[okey] = None
     return rows
+
+
+def _run_level(family: str, k: int, level: int, problem: Problem, tol: float,
+               condition: bool, failures: list) -> dict | None:
+    """One level's row, or None (and an entry in failures) if CG fails."""
+    timings: dict = {}
+    with _timed(timings, "mesh"):
+        mesh = build_crisscross_mesh(level)
+    with _timed(timings, "space"):
+        space = build_space(mesh, family, k)
+    with _timed(timings, "assemble"):
+        system = assemble_system(space, problem.f)
+    dm = space.dof_map
+    x, iters, residual = np.zeros(0), 0, 0.0
+    try:
+        with _timed(timings, "cg"):
+            if dm.n_free:
+                x, stats = cg_solve(system.A, system.F, rel_tol=tol)
+                iters, residual = stats.iterations, stats.relative_residual
+    except SolverError as err:
+        failures.append((level, f"{family} level {level}: {err}"))
+        logging.getLogger(__name__).warning(
+            "solver failure: %s level %s: %s", family, level, err)
+        return None
+    # the interpolant and the norms need only x and the interior coefficients
+    A = system.A if condition else None
+    c = system.interp_coeffs
+    del system
+    u_h = FeFunction.from_dofs(space, x, c)
+    with _timed(timings, "interpolate"):
+        i_h = interpolate_exact(problem.u, problem.f, space, c)
+    with _timed(timings, "norms"):
+        l2_ih, h1_ih, l2_true, h1_true = error_norms(u_h, i_h, problem)
+    # order_* hold their JSON key position until every level is done
+    row = {"level": level, "h": mesh.h, "free_dofs": dm.n_free,
+           "interp_dofs": dm.n_interp, "l2_ih": l2_ih, "h1_ih": h1_ih,
+           "l2_true": l2_true, "h1_true": h1_true, "order_l2": None,
+           "order_h1": None, "cg_iters": iters, "cg_residual": residual}
+    if condition and dm.n_free:
+        with _timed(timings, "condition"):
+            est = estimate_condition(A)
+        row["cond_est"] = est.condition
+        row["lambda_max"] = est.lambda_max
+        row["lambda_min"] = est.lambda_min_nonzero
+        row["cond_converged"] = est.converged
+    # seconds per phase, for the JSON report; CSV and text leave them out
+    row["timings"] = timings
+    return row
 
 
 def run_experiment(config: ExperimentConfig) -> ConvergenceReport:

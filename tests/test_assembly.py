@@ -358,6 +358,50 @@ def test_assembly_bit_identical_to_element_loop(family, k, level, perturb):
     assert system.A.nnz == distinct and system.A.has_canonical_format
 
 
+def _coo_reference(space, f):
+    """A and F from the same element tables, with A made the way assembly
+    made it before it laid out the CSR arrays itself: COO entries in
+    (element, local row, local column) order, converted by tocsr()."""
+    dm = space.dof_map
+    S, L, c = igfem.assembly._element_tables(space, f)
+    free = dm.dofs >= 0
+    terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
+                           axis=2)
+    F = np.zeros(dm.n_free)
+    np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
+              terms[free].ravel())
+    pair = free[:, :, None] & free[:, None, :]
+    rows = np.broadcast_to(dm.dofs[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(dm.dofs[:, None, :], pair.shape)[pair]
+    A = sp.coo_array((S[pair], (rows, cols)), shape=(dm.n_free, dm.n_free)).tocsr()
+    return A, F
+
+
+_CSR_CASES = [(family, k, level, perturb)
+              for family, degrees in (("p2c_interp", [None]), ("p2nc_interp", [None]),
+                                      ("p2nc_std", [None]), ("p3_interp", [None]),
+                                      ("pk_interp", [4, 6, 8]), ("pk_lagrange", [1, 3, 8]))
+              for k in degrees for level in (1, 2, 3)
+              for perturb in ((0.0,) if family == "p2c_interp" else (0.0, 0.2))]
+
+
+@pytest.mark.parametrize("family,k,level,perturb", _CSR_CASES, ids=[
+    f"{fam}-{k}-{level}" + (f"-perturb{p}" if p else "") for fam, k, level, p in _CSR_CASES])
+def test_csr_arrays_bit_identical_to_coo_conversion(family, k, level, perturb):
+    # tocsr() places the COO entries row by row in their order and then sums
+    # the duplicates; the CSR arrays laid out in that order and summed the
+    # same way are A, bit for bit, with its index dtypes
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
+    system = assemble_system(space, f=SINE.f)
+    A, F = _coo_reference(space, SINE.f)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(system.A, name), getattr(A, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert system.A.shape == A.shape
+    assert system.A.has_canonical_format and A.has_canonical_format
+    assert np.array_equal(system.F, F)
+
+
 @pytest.mark.parametrize("k", range(4, 9))
 def test_pk_node_interior_stiffness_at_rounding_level(k):
     # the node functions have zero moments, int p_j b Lap(phi) = 0, and
@@ -377,11 +421,12 @@ def test_pk_node_interior_stiffness_at_rounding_level(k):
 
 
 @pytest.mark.parametrize("family,k,level,bound", [
-    ("pk_lagrange", 8, 4, 3.0), ("p3_interp", None, 6, 4.0)])
+    ("pk_lagrange", 8, 4, 3.0), ("p3_interp", None, 6, 4.0),
+    ("pk_lagrange", 8, 3, 2.34), ("p3_interp", None, 5, 3.49)])
 def test_assembly_transient_memory(family, k, level, bound):
-    # int32 DOFs keep the COO coordinates and A's indices int32, and the
-    # (E, nb, nb) stiffness table is freed before the COO -> CSR conversion;
-    # with int64 indices and the table kept, the ratios were 3.38 and 4.55
+    # the peak holds the (E, nb, nb) stiffness table, A's unsummed int32
+    # indices and float64 data, and one slice of rows.  The measured ratios
+    # are 1.90, 2.89, 2.22 and 3.32; the last two bounds are those plus 5%
     space = build_space(build_crisscross_mesh(level), family, k)
     tracemalloc.start()
     try:

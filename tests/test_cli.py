@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,39 @@ def test_condition_flag_adds_estimates():
     for report in (rep, empty):
         for fmt in ("csv", "text"):
             assert "timings" not in emit_report(report, fmt, None)
+
+
+@pytest.mark.parametrize("condition", [False, True])
+def test_one_level_held_at_a_time(monkeypatch, condition):
+    # a level's system is gone when the next level is assembled, and A is
+    # gone before the level's interpolant unless the condition estimate
+    # still needs it
+    systems = []      # weak references to each level's A
+    assemble, interpolate = igfem.cli.assemble_system, igfem.cli.interpolate_exact
+
+    def recording_assemble(space, f):
+        assert all(ref() is None for ref in systems)
+        system = assemble(space, f)
+        systems.append(weakref.ref(system.A))
+        return system
+
+    def checking_interpolate(*args):
+        assert (systems[-1]() is not None) == condition
+        return interpolate(*args)
+
+    monkeypatch.setattr(igfem.cli, "assemble_system", recording_assemble)
+    monkeypatch.setattr(igfem.cli, "interpolate_exact", checking_interpolate)
+    report = run_experiment(ExperimentConfig(family="p3_interp", levels=(1, 2, 3),
+                                             compare=True, condition=condition))
+    assert len(systems) == 6 and all(ref() is None for ref in systems)
+    # the rows keep their key order, and the timings their phase order
+    estimate = ["cond_est", "lambda_max", "lambda_min", "cond_converged"] * condition
+    for row in report.rows + report.baseline_rows:
+        assert list(row) == ["level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",
+                             "l2_true", "h1_true", "order_l2", "order_h1", "cg_iters",
+                             "cg_residual", *estimate, "timings"]
+        assert list(row["timings"]) == ["mesh", "space", "assemble", "cg", "interpolate",
+                                        "norms", *["condition"] * condition]
 
 
 def test_main_exit_codes(tmp_path):

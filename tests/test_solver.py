@@ -247,9 +247,10 @@ def test_condition_ends_on_a_tight_solve(monkeypatch, family):
 
 
 def test_csr_from_coo_sums_duplicates():
-    # assemble_system builds A this way from COO entries with repeated
-    # (row, col) pairs, and relies on tocsr() to sum them and sort indices.
-    # Its coordinates come from the int32 DOF table, and A keeps int32 indices.
+    # tocsr() sums repeated (row, col) pairs and sorts the indices; the
+    # assembly tests keep it as the reference for A.  assemble_system lays
+    # out the unsummed CSR arrays itself and sums them with sum_duplicates(),
+    # and int32 indices stay int32.
     for dtype in (np.int64, np.int32):
         rows, cols = np.array([0, 0, 1], dtype=dtype), np.array([1, 1, 0], dtype=dtype)
         A = sp.coo_array(([2.0, 3.0, 4.0], (rows, cols)), shape=(2, 2)).tocsr()
@@ -259,3 +260,9 @@ def test_csr_from_coo_sums_duplicates():
         assert A.has_canonical_format
         if dtype == np.int32:
             assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+        B = sp.csr_array(([2.0, 3.0, 4.0], cols, np.array([0, 2, 3], dtype=dtype)),
+                         shape=(2, 2))
+        B.sum_duplicates()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(B, name), getattr(A, name))
+            assert getattr(B, name).dtype == getattr(A, name).dtype
