@@ -90,12 +90,8 @@ class DofMap:
     interp_mask: np.ndarray  # (nb,) bool
 
     @property
-    def n_elements(self) -> int:
-        return len(self.dofs)
-
-    @property
     def n_interp(self) -> int:
-        return self.n_elements * int(self.interp_mask.sum())
+        return len(self.dofs) * int(self.interp_mask.sum())
 
     @property
     def local_free_slots(self) -> int:
@@ -303,14 +299,15 @@ def assemble_system(space: Space, f) -> SparseSystem:
     # F fixes the rounding of A and F, and CG at the default tolerance is
     # sensitive to their last bits.
     free = dm.dofs >= 0
-    # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated j
-    terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
-                           axis=2)
-    F = np.zeros(dm.n_free)
-    np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
-              terms[free].ravel())
+    # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated
+    # j, added in that order: bincount adds its weights in input order (and
+    # gives int64 when there are none)
+    terms = np.concatenate(
+        [L[:, :, None], -S[:, :, dm.interp_mask][space.shape] * c[:, None, :]], axis=2)
+    F = np.bincount(np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
+                    weights=terms[free].ravel(), minlength=dm.n_free).astype(float, copy=False)
     del L, terms
-    data, indices, indptr = _unsummed_csr(dm, S)
+    data, indices, indptr = _unsummed_csr(dm, space.shape, S)
     del S
     A = sp.csr_array((data, indices, indptr), shape=(dm.n_free, dm.n_free))
     A.sum_duplicates()
@@ -318,32 +315,35 @@ def assemble_system(space: Space, f) -> SparseSystem:
 
 
 def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every element's stiffness matrix (E, nb, nb) and load vector (E, nb),
-    and the interior coefficients (E, n_interp per element)."""
+    """Every class's stiffness matrix (S, nb, nb), every element's load vector
+    (E, nb), and the interior coefficients (E, n_interp per element)."""
     dm = space.dof_map
     k = space.k
     parts = range(space.basis.shape[2])
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
     load_rule = make_quad_rule(load_rule_degree(k))
+    S = np.zeros(space.basis.shape[:2] + space.basis.shape[1:2])     # (S, nb, nb)
+    tabulated = 0
 
     def tabulate(basis, grad_lambda, area):
-        """Stiffness matrices (B, nb, nb), then area-weighted basis values
+        """Write the block's stiffness matrices into S's next rows (the walk
+        takes the classes in order); return its area-weighted basis values
         (B, nb, P) at the load rule, one array per part."""
-        S = np.zeros(basis.shape[:2] + basis.shape[1:2])
+        nonlocal tabulated
+        S_block = S[tabulated:tabulated + len(basis)]
+        tabulated += len(basis)
         av = []
         for part in parts:
             grads = el.block_gradients(basis[:, :, part], k, grad_lambda[:, part],
                                        stiff_rule)                  # (B, nb, P, 2)
-            S += area[:, part, None, None] * np.einsum(
+            S_block += area[:, part, None, None] * np.einsum(
                 "bnpd,bmpd,p->bnm", grads, grads, stiff_rule.weights)
             av.append(area[:, part, None, None]
                       * el.block_values(basis[:, :, part], k, load_rule))
-        return S, *av
+        return av
 
-    S = np.empty(dm.dofs.shape + dm.dofs.shape[1:])       # (E, nb, nb)
     L = np.zeros(dm.dofs.shape)                           # (E, nb)
-    for e, verts, _, (S_block, *av) in element_blocks(space, tabulate):
-        S[e] = S_block
+    for e, verts, _, av in element_blocks(space, tabulate):
         for part in parts:
             xy = load_rule.points @ verts[:, part]
             fv = f(xy[..., 0], xy[..., 1])
@@ -353,22 +353,22 @@ def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray
     elif dm.interp_mask.any():
         c = f(space.lap_xy[:, 0], space.lap_xy[:, 1])[:, None]
     else:
-        c = np.zeros((dm.n_elements, 0))
+        c = np.zeros((len(dm.dofs), 0))
     return S, L, c
 
 
-def _unsummed_csr(dm: DofMap, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unsummed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A's CSR arrays (data, indices, indptr) before its duplicates are summed.
 
     Global row g holds, in element order, the free local rows (e, a) with
-    dofs[e, a] == g, each as its free columns S[e, a, m] in local order: the
-    order in which a COO -> CSR conversion places the entries (element, local
-    row, local column).  Summing the duplicates sorts and adds each row as
-    that conversion does, so A keeps its bits.  data is filled a slice of
-    rows at a time; a slice's rows of S and their free entries take at most
-    BLOCK_BYTES.
+    dofs[e, a] == g, each as its free columns S[shape[e], a, m] in local
+    order: the order in which a COO -> CSR conversion places the entries
+    (element, local row, local column).  Summing the duplicates sorts and
+    adds each row as that conversion does, so A keeps its bits.  data is
+    filled a slice of rows at a time; a slice's rows of S and their free
+    entries take at most BLOCK_BYTES.
     """
-    E, nb = dm.dofs.shape
+    nb = dm.dofs.shape[1]
     free = dm.dofs >= 0
     rows = np.flatnonzero(free)                           # e * nb + a
     g = dm.dofs.ravel()[rows]
@@ -379,19 +379,19 @@ def _unsummed_csr(dm: DofMap, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     index_dtype = sp.get_index_dtype(dm.dofs, maxval=max(nnz, dm.n_free))
     indptr = np.zeros(dm.n_free + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
-    rows = rows[np.argsort(g, kind="stable")]
-    del g, counts
+    elements, src = np.divmod(rows[np.argsort(g, kind="stable")], nb)
+    src += shape[elements] * nb                           # row of (e, a) in S
+    del rows, g, counts
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
-    S = S.reshape(E * nb, nb)
+    S = S.reshape(-1, nb)
     step = max(1, BLOCK_BYTES // (2 * S[0].nbytes))
     at = 0
-    for start in range(0, len(rows), step):
-        r = rows[start:start + step]
-        cols = dm.dofs.take(r // nb, axis=0)
+    for start in range(0, len(src), step):
+        cols = dm.dofs.take(elements[start:start + step], axis=0)
         free_cols = cols >= 0
         n = at + np.count_nonzero(free_cols)
-        data[at:n] = S.take(r, axis=0)[free_cols]
+        data[at:n] = S.take(src[start:start + step], axis=0)[free_cols]
         indices[at:n] = cols[free_cols]
         at = n
     return data, indices, indptr

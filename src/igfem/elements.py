@@ -1,4 +1,4 @@
-"""Local bases of the five element families, built for many elements at once.
+"""Local bases of the six element families, built for many elements at once.
 
 Families:
   p2c_interp   piecewise-quadratic macro element on a criss-cross square,
