@@ -90,8 +90,8 @@ def interpolate_exact(u, f, space: Space, interior: np.ndarray) -> FeFunction:
 def _block_eval(side, coeffs, vals, grads, xy):
     """Values (B, P) and gradients (B, P, 2) of an error_norms argument."""
     if coeffs is None:
-        return (np.asarray(side.u(xy[..., 0], xy[..., 1]), dtype=float),
-                np.asarray(side.grad(xy[..., 0], xy[..., 1]), dtype=float))
+        u, grad = side.u_grad(xy[..., 0], xy[..., 1])
+        return np.asarray(u, dtype=float), np.asarray(grad, dtype=float)
     return (coeffs[:, None, :] @ vals)[:, 0], np.einsum("bn,bnpd->bpd", coeffs, grads)
 
 
@@ -100,9 +100,9 @@ def error_norms(a, *bs) -> tuple[float, ...]:
     one flat tuple (l2_1, h1_1, l2_2, h1_2, ...) with a pair per b in bs.
 
     Every argument may be a FeFunction or an analytic problem-like object
-    with fields u(x, y) and grad(x, y); at least one must be a FeFunction,
-    and all FeFunctions must share their Space.  The basis tables are built
-    once for all pairs.
+    whose u_grad(x, y) gives u and its gradient; at least one must be a
+    FeFunction, and all FeFunctions must share their Space.  The basis tables
+    are built once for all pairs.
     """
     if not bs:
         raise TypeError("error_norms needs at least one function to compare with")
@@ -142,15 +142,13 @@ def error_norms(a, *bs) -> tuple[float, ...]:
     return tuple(math.sqrt(abs(v)) for v in sums)
 
 
-def convergence_orders(errors) -> list:
-    """Observed orders log2(e_{l-1} / e_l); None where undefined."""
-    errors = list(errors)
-    if not errors:
-        return []
-    orders: list = [None]
-    for prev, cur in zip(errors, errors[1:]):
-        if prev is None or cur is None or prev <= 0.0 or cur <= 0.0:
-            orders.append(None)
-        else:
-            orders.append(math.log2(prev / cur))
+def convergence_orders(levels, errors) -> list:
+    """Observed orders log2(e_{l-1} / e_l), one per level; None at the first
+    level, after a gap in the levels, and where an error is not positive."""
+    levels, errors = list(levels), list(errors)
+    orders: list = [None] * len(errors)
+    for i in range(1, len(errors)):
+        prev, cur = errors[i - 1], errors[i]
+        if levels[i] == levels[i - 1] + 1 and prev > 0.0 and cur > 0.0:
+            orders[i] = math.log2(prev / cur)
     return orders

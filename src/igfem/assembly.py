@@ -93,11 +93,6 @@ class DofMap:
     def n_interp(self) -> int:
         return len(self.dofs) * int(self.interp_mask.sum())
 
-    @property
-    def local_free_slots(self) -> int:
-        """Non-interpolated local slots per element."""
-        return int((~self.interp_mask).sum())
-
 
 def corner_ids(mesh: Mesh, family: str) -> np.ndarray:
     """The vertex ids (E, 3 or 4) the node multi-indices of every element run
@@ -301,10 +296,10 @@ def assemble_system(space: Space, f) -> SparseSystem:
     free = dm.dofs >= 0
     # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated
     # j, added in that order: bincount adds its weights in input order (and
-    # gives int64 when there are none)
+    # gives int64 when there are none); an intp index it does not copy
     terms = np.concatenate(
         [L[:, :, None], -S[:, :, dm.interp_mask][space.shape] * c[:, None, :]], axis=2)
-    F = np.bincount(np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
+    F = np.bincount(np.repeat(dm.dofs[free].astype(np.intp), terms.shape[2]),
                     weights=terms[free].ravel(), minlength=dm.n_free).astype(float, copy=False)
     del L, terms
     data, indices, indptr = _unsummed_csr(dm, space.shape, S)

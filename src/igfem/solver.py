@@ -42,7 +42,7 @@ class SolverError(RuntimeError):
 
 
 def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
-             max_iter: int | None = None, callback=None) -> tuple[np.ndarray, SolveStats]:
+             max_iter: int | None = None) -> tuple[np.ndarray, SolveStats]:
     """Jacobi-preconditioned conjugate gradients from a zero initial guess.
 
     Stops when the recursively updated residual r satisfies ||r|| <= rel_tol
@@ -89,8 +89,6 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if callback is not None:
-            callback(x.copy())
         res = np.linalg.norm(r) / norm_f
         if res <= rel_tol:
             return x, SolveStats(it, np.linalg.norm(F - A @ x) / norm_f)

@@ -227,17 +227,26 @@ def test_error_norms_flat_pairs():
 
 
 def test_convergence_orders_table_pair():
-    orders = convergence_orders([0.723e-04, 0.887e-05])
+    orders = convergence_orders([3, 4], [0.723e-04, 0.887e-05])
     assert orders[0] is None
     assert round(orders[1], 1) == 3.0
 
 
 def test_convergence_orders_simple():
-    assert convergence_orders([4.0, 1.0])[1] == pytest.approx(2.0)
-    assert convergence_orders([3.0, 3.0])[1] == pytest.approx(0.0)
-    assert convergence_orders([1.0, 0.0]) == [None, None]
-    assert convergence_orders([1.0]) == [None]
-    assert convergence_orders([]) == []
+    assert convergence_orders([1, 2], [4.0, 1.0])[1] == pytest.approx(2.0)
+    assert convergence_orders([1, 2], [3.0, 3.0])[1] == pytest.approx(0.0)
+    assert convergence_orders([1, 2], [1.0, 0.0]) == [None, None]
+    assert convergence_orders([1, 2], [0.0, 1.0]) == [None, None]
+    assert convergence_orders([1], [1.0]) == [None]
+    assert convergence_orders([], []) == []
+
+
+def test_convergence_orders_level_gap():
+    # no order across a gap in the levels; the next consecutive pair has one
+    orders = convergence_orders([1, 2, 4, 5], [16.0, 4.0, 2.0, 0.25])
+    assert orders[0] is None and orders[2] is None
+    assert orders[1] == pytest.approx(2.0) and orders[3] == pytest.approx(3.0)
+    assert convergence_orders((2, 4), (4.0, 1.0)) == [None, None]
 
 
 # --- element-loop references ------------------------------------------------
@@ -259,8 +268,8 @@ def _reference_error_norms(a, b):
                     c = obj.coeffs[eid]
                     side.append((c @ vals_tab, np.einsum("n,npd->pd", c, grads_tab)))
                 else:
-                    side.append((np.asarray(obj.u(xy[:, 0], xy[:, 1]), dtype=float),
-                                 np.asarray(obj.grad(xy[:, 0], xy[:, 1]), dtype=float)))
+                    u, grad = obj.u_grad(xy[:, 0], xy[:, 1])
+                    side.append((np.asarray(u, dtype=float), np.asarray(grad, dtype=float)))
             (va, ga), (vb, gb) = side
             w = rule.weights * area
             l2_sq += w @ (va - vb) ** 2

@@ -70,9 +70,12 @@ def test_energy_error_monotone():
     F = rng.normal(size=30)
     dense = np.linalg.solve(A.toarray(), F)
     Ad = A.toarray()
-    history = []
-    cg_solve(A, F, rel_tol=1e-12, callback=lambda xk: history.append(xk))
-    energies = [float((dense - xk) @ Ad @ (dense - xk)) for xk in history]
+    # CG from zero takes the same steps at every tolerance, so tightening
+    # rel_tol, four steps per decade, walks along one sequence of iterates
+    runs = [cg_solve(A, F, rel_tol=tol) for tol in np.geomspace(1e-1, 1e-12, 45)]
+    iters = [stats.iterations for _, stats in runs]
+    assert iters == sorted(iters) and len(set(iters)) >= 15
+    energies = [float((dense - xk) @ Ad @ (dense - xk)) for xk, _ in runs]
     for prev, cur in zip(energies, energies[1:]):
         assert cur <= prev * (1.0 + 1e-10) + 1e-300
 
