@@ -253,6 +253,7 @@ def element_blocks(space: Space, tabulate):
     classes tabulated with it, so the tables equal those of tabulating every
     element, bit for bit.  The passes write only per-element outputs and add
     them up in element order afterwards, so the walk does not change a bit.
+    A class block's tables are dropped before the next block is tabulated.
     """
     step = block_size(space.k, *space.basis.shape[1:3])      # nb, parts
     order = np.argsort(space.shape, kind="stable")
@@ -265,6 +266,7 @@ def element_blocks(space: Space, tabulate):
             e = order[start:min(start + step, hi)]
             at = space.shape[e] - c0
             yield e, space.vertices(e), space.area[space.shape[e]], tuple(t[at] for t in rows)
+        del rows        # one class block's tables alive at a time
 
 
 @dataclass
@@ -290,16 +292,18 @@ def assemble_system(space: Space, f) -> SparseSystem:
     """
     dm = space.dof_map
     S, L, c = _element_tables(space, f)
+    n_node = S.shape[1]
     # The order of the entries of every global row and of the additions into
     # F fixes the rounding of A and F, and CG at the default tolerance is
     # sensitive to their last bits.
-    free = dm.dofs >= 0
+    dofs = dm.dofs[:, :n_node]         # an interpolated slot is never free
+    free = dofs >= 0
     # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated
     # j, added in that order: bincount adds its weights in input order (and
     # gives int64 when there are none); an intp index it does not copy
     terms = np.concatenate(
-        [L[:, :, None], -S[:, :, dm.interp_mask][space.shape] * c[:, None, :]], axis=2)
-    F = np.bincount(np.repeat(dm.dofs[free].astype(np.intp), terms.shape[2]),
+        [L[:, :n_node, None], -S[:, :, n_node:][space.shape] * c[:, None, :]], axis=2)
+    F = np.bincount(np.repeat(dofs[free].astype(np.intp), terms.shape[2]),
                     weights=terms[free].ravel(), minlength=dm.n_free).astype(float, copy=False)
     del L, terms
     data, indices, indptr = _unsummed_csr(dm, space.shape, S)
@@ -310,14 +314,24 @@ def assemble_system(space: Space, f) -> SparseSystem:
 
 
 def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every class's stiffness matrix (S, nb, nb), every element's load vector
-    (E, nb), and the interior coefficients (E, n_interp per element)."""
+    """Every class's stiffness rows of its node slots (S, n_node, nb), every
+    element's load vector (E, nb), and the interior coefficients (E, n_interp
+    per element).
+
+    The node slots come first (`elements.slot_layout`), so they are the slots
+    [:n_node], n_node = nb - n_interp.  An interpolated slot has no unknown,
+    so A reads only the node x node block of the stiffness and F only its
+    node x interpolated block: the interpolated slots' rows are never read.
+    A leading slice of the n axis gives the full stiffness form's rows bit
+    for bit.  The baselines interpolate no slot, so their n_node is nb.
+    """
     dm = space.dof_map
     k = space.k
-    parts = range(space.basis.shape[2])
+    nb, parts = space.basis.shape[1], range(space.basis.shape[2])
+    n_node = nb - int(dm.interp_mask.sum())
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
     load_rule = make_quad_rule(load_rule_degree(k))
-    S = np.zeros(space.basis.shape[:2] + space.basis.shape[1:2])     # (S, nb, nb)
+    S = np.zeros((len(space.basis), n_node, nb))
     tabulated = 0
 
     def tabulate(basis, grad_lambda, area):
@@ -332,7 +346,7 @@ def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray
             grads = el.block_gradients(basis[:, :, part], k, grad_lambda[:, part],
                                        stiff_rule)                  # (B, nb, P, 2)
             S_block += area[:, part, None, None] * np.einsum(
-                "bnpd,bmpd,p->bnm", grads, grads, stiff_rule.weights)
+                "bnpd,bmpd,p->bnm", grads[:, :n_node], grads, stiff_rule.weights)
             av.append(area[:, part, None, None]
                       * el.block_values(basis[:, :, part], k, load_rule))
         return av
@@ -359,23 +373,26 @@ def _unsummed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndar
     dofs[e, a] == g, each as its free columns S[shape[e], a, m] in local
     order: the order in which a COO -> CSR conversion places the entries
     (element, local row, local column).  Summing the duplicates sorts and
-    adds each row as that conversion does, so A keeps its bits.  data is
-    filled a slice of rows at a time; a slice's rows of S and their free
-    entries take at most BLOCK_BYTES.
+    adds each row as that conversion does, so A keeps its bits.  The free
+    rows are node slots, the rows [:n_node] that S holds.  data is filled a
+    slice of rows at a time; a slice's rows of S and their free entries take
+    at most BLOCK_BYTES.
     """
-    nb = dm.dofs.shape[1]
+    n_node, nb = S.shape[1:]
     free = dm.dofs >= 0
-    rows = np.flatnonzero(free)                           # e * nb + a
-    g = dm.dofs.ravel()[rows]
+    node_free = free[:, :n_node]
+    rows = np.flatnonzero(node_free)                      # e * n_node + a
+    g = dm.dofs[:, :n_node][node_free]
     width = free.sum(axis=1)                              # free columns per row of e
-    counts = np.bincount(g, weights=width[rows // nb], minlength=dm.n_free).astype(np.int64)
+    counts = np.bincount(g, weights=width[rows // n_node],
+                         minlength=dm.n_free).astype(np.int64)
     nnz = int(counts.sum())
     # int32 DOFs give int32 indices and indptr wherever the entries fit
     index_dtype = sp.get_index_dtype(dm.dofs, maxval=max(nnz, dm.n_free))
     indptr = np.zeros(dm.n_free + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
-    elements, src = np.divmod(rows[np.argsort(g, kind="stable")], nb)
-    src += shape[elements] * nb                           # row of (e, a) in S
+    elements, src = np.divmod(rows[np.argsort(g, kind="stable")], n_node)
+    src += shape[elements] * n_node                       # row of (e, a) in S
     del rows, g, counts
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)

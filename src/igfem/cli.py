@@ -51,14 +51,17 @@ EXIT_SOLVER = 3
 class Problem:
     """Analytic manufactured solution with exact forcing f = -Lap u.
 
-    u_grad(x, y) gives u and its gradient (..., 2) from one evaluation.
+    u(x, y) gives u alone; u_grad(x, y) gives u and its gradient (..., 2)
+    from one evaluation, with u's bits.
     """
 
+    u: callable
     u_grad: callable
     f: callable
 
-    def u(self, x, y):
-        return self.u_grad(x, y)[0]
+
+def _sine_u(x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
 def _sine_u_grad(x, y):
@@ -69,6 +72,10 @@ def _sine_u_grad(x, y):
 
 def _sine_f(x, y):
     return 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def _poly4_u(x, y):
+    return x * (1.0 - x) * y * (1.0 - y)
 
 
 def _poly4_u_grad(x, y):
@@ -83,8 +90,8 @@ def _poly4_f(x, y):
 
 
 PROBLEMS = {
-    "sine": Problem(_sine_u_grad, _sine_f),
-    "poly4": Problem(_poly4_u_grad, _poly4_f),
+    "sine": Problem(_sine_u, _sine_u_grad, _sine_f),
+    "poly4": Problem(_poly4_u, _poly4_u_grad, _poly4_f),
 }
 
 # every baseline runs at its family's degree

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -363,8 +364,11 @@ def _coo_reference(space, f):
     made it before it laid out the CSR arrays itself: COO entries in
     (element, local row, local column) order, converted by tocsr()."""
     dm = space.dof_map
-    S, L, c = igfem.assembly._element_tables(space, f)
-    S = S[space.shape]                                    # every element's own
+    rows, L, c = igfem.assembly._element_tables(space, f)
+    # every element's own (nb, nb) matrix, its node rows from its class; the
+    # interpolated rows stay zero, since no interpolated slot is free
+    S = np.zeros(dm.dofs.shape + dm.dofs.shape[1:])
+    S[:, :rows.shape[1]] = rows[space.shape]
     free = dm.dofs >= 0
     terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
                            axis=2)
@@ -403,6 +407,37 @@ def test_csr_arrays_bit_identical_to_coo_conversion(family, k, level, perturb):
     assert system.F.dtype == F.dtype and np.array_equal(system.F, F)
 
 
+_NODE_ROW_CASES = [(family, k, perturb)
+                   for family, degrees in (("p2c_interp", [None]), ("p2nc_interp", [None]),
+                                           ("p3_interp", [None]), ("pk_interp", [4, 5, 8]),
+                                           ("p2nc_std", [None]), ("pk_lagrange", [3]))
+                   for k in degrees
+                   for perturb in ((0.0,) if family == "p2c_interp" else (0.0, 0.2))]
+
+
+@pytest.mark.parametrize("family,k,perturb", _NODE_ROW_CASES, ids=[
+    f"{fam}-{k}" + (f"-perturb{p}" if p else "") for fam, k, p in _NODE_ROW_CASES])
+def test_stiffness_node_rows_bit_identical_to_full_form(family, k, perturb):
+    # assembly tabulates only the node rows, a leading slice of the slots;
+    # they equal the full (nb, nb) form's rows bit for bit.  The baselines
+    # interpolate no slot, so every row is a node row.
+    space = build_space(build_crisscross_mesh(3, perturb=perturb), family, k)
+    interp = space.dof_map.interp_mask
+    n_node = len(interp) - interp.sum()
+    assert not interp[:n_node].any() and interp[n_node:].all()
+    assert (n_node < len(interp)) == (family in igfem.assembly.INTERPOLATED_FAMILIES)
+    rule = make_quad_rule(stiffness_rule_degree(space.k))
+    full = np.zeros(space.basis.shape[:2] + space.basis.shape[1:2])
+    for part in range(space.basis.shape[2]):
+        grads = block_gradients(space.basis[:, :, part], space.k,
+                                space.grad_lambda[:, part], rule)
+        full += space.area[:, part, None, None] * np.einsum(
+            "bnpd,bmpd,p->bnm", grads, grads, rule.weights)
+    S, _, _ = igfem.assembly._element_tables(space, SINE.f)
+    assert S.shape == (len(space.basis), n_node, full.shape[2])
+    assert _equal_bits(S, full[:, :n_node])
+
+
 @pytest.mark.parametrize("k", range(4, 9))
 def test_pk_node_interior_stiffness_at_rounding_level(k):
     # the node functions have zero moments, int p_j b Lap(phi) = 0, and
@@ -423,12 +458,16 @@ def test_pk_node_interior_stiffness_at_rounding_level(k):
 
 @pytest.mark.parametrize("family,k,level,bound", [
     ("pk_lagrange", 8, 4, 3.0), ("p3_interp", None, 6, 4.0),
-    ("pk_lagrange", 8, 3, 1.49), ("p3_interp", None, 5, 2.32)])
+    ("pk_lagrange", 8, 3, 1.49), ("p3_interp", None, 5, 2.32),
+    ("pk_interp", 8, 4, 4.6)])
 def test_assembly_transient_memory(family, k, level, bound):
     # the peak holds A's unsummed int32 indices and float64 data, one slice
     # of rows and one stiffness matrix per class, not per element.  The
     # measured ratios are 1.20, 1.83, 1.42 and 2.20 (with the (E, nb, nb)
-    # table 1.92, 2.90, 2.14 and 3.31); the last two bounds are these plus 5%
+    # table 1.92, 2.90, 2.14 and 3.31); the last two bounds are these plus 5%.
+    # pk_interp's classes are its elements: with the node rows only and one
+    # class block's tables alive at a time it measures 4.37 (with all nb rows
+    # and two class blocks 6.63), and its bound is that plus 5%
     space = build_space(build_crisscross_mesh(level), family, k)
     tracemalloc.start()
     try:
@@ -536,6 +575,25 @@ def test_walk_tabulates_class_blocks_once_in_class_order(
     # consecutive class slices, each at most a block, that cover 0..S once
     assert np.array_equal(np.concatenate(tabulated), np.arange(S))
     assert all(len(t) == step for t in tabulated[:-1]) and 0 < len(tabulated[-1]) <= step
+
+
+def test_walk_drops_each_class_block_before_the_next():
+    # pk_interp's classes are its elements: 16 at level 2, in two class
+    # blocks of 8.  When tabulate runs for a block, the tables of the block
+    # before it must be gone.
+    space = build_space(build_crisscross_mesh(2), "pk_interp", 8)
+    assert len(space.basis) == 16 and block_size(space.k, *space.basis.shape[1:3]) == 8
+    earlier = []
+
+    def tabulate(basis, grad_lambda, area):
+        assert all(ref() is None for ref in earlier), "a class block's tables are alive"
+        tables = (basis.copy(), area.copy())
+        earlier[:] = [weakref.ref(t) for t in tables]
+        return tables
+
+    walked = [e for e, *_ in element_blocks(space, tabulate)]
+    assert np.array_equal(np.concatenate(walked), np.arange(16))
+    assert all(ref() is None for ref in earlier)
 
 
 # --- shapes: the elements of a class share its basis and tables -----------------
@@ -682,11 +740,13 @@ def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, leve
     # the same space with every element its own class tabulates every element
     own = _with_classes(space, np.arange(space.n_elements), space.shape)
     _assert_same_outputs(space, own)
-    # assembly keeps one stiffness matrix per class, not one per element
+    # assembly keeps the node rows of one stiffness matrix per class, not one
+    # per element
     nb = space.basis.shape[1]
+    n_node = nb - space.dof_map.interp_mask.sum()
     for case in (space, own):
         S, L, _ = igfem.assembly._element_tables(case, SINE.f)
-        assert S.shape == (len(case.basis), nb, nb) and L.shape == (case.n_elements, nb)
+        assert S.shape == (len(case.basis), n_node, nb) and L.shape == (case.n_elements, nb)
 
 
 def test_shared_tables_kept_up_to_a_block_boundary(monkeypatch):

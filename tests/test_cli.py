@@ -75,6 +75,9 @@ def test_problem_consistency(name):
         gy = (pr.u(x, y + h) - pr.u(x, y - h)) / (2 * h)
         assert g[0] == pytest.approx(gx, rel=1e-7, abs=1e-9)
         assert g[1] == pytest.approx(gy, rel=1e-7, abs=1e-9)
+    # u's own closed form has u_grad's bits on arrays too
+    x, y = rng.uniform(0.0, 1.0, size=(2, 3, 1000))
+    assert np.array_equal(pr.u(x, y), pr.u_grad(x, y)[0])
 
 
 def test_parse_levels():
