@@ -51,7 +51,7 @@ class FeFunction:
         mask = dm.dofs >= 0
         coeffs = np.zeros(dm.dofs.shape)
         coeffs[mask] = free[dm.dofs[mask]]
-        coeffs[:, dm.interp_mask] = interior
+        coeffs[:, dm.n_node:] = interior
         return cls(space, coeffs)
 
 

@@ -78,20 +78,21 @@ class DofMap:
     """Global numbering of the local slots of every element.
 
     `dofs[e, m]` is the free unknown of local slot m of element e, or -1
-    where that slot has none: a Dirichlet boundary slot, or an interpolated
-    slot.  The interpolated slots sit at the same local positions in every
-    element (`interp_mask`); their coefficients come from f.  The table is
-    int32, so the CSR indices and index pointer of the assembled matrix are
-    int32 too.
+    where that slot has none.  The node slots come first
+    (`elements.slot_layout`): slots [:n_node] hold an unknown unless they
+    lie on the Dirichlet boundary, and the slots [n_node:] are interpolated,
+    their coefficients taken from f.  The baselines interpolate no slot, so
+    their n_node is nb.  The table is int32, so the CSR indices and index
+    pointer of the assembled matrix are int32 too.
     """
 
     n_free: int
     dofs: np.ndarray         # (E, nb) int32
-    interp_mask: np.ndarray  # (nb,) bool
+    n_node: int
 
     @property
     def n_interp(self) -> int:
-        return len(self.dofs) * int(self.interp_mask.sum())
+        return len(self.dofs) * (self.dofs.shape[1] - self.n_node)
 
 
 def corner_ids(mesh: Mesh, family: str) -> np.ndarray:
@@ -117,8 +118,8 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     t = np.arange(len(ents))
     alphas, n_interior = el.slot_layout(family, k)
     interior = sorted(a for a in multi_indices(k) if min(a) > 0)
-    # per local slot: (key category, entity id, position, on the boundary)
-    # over all elements, or None for an interpolated slot
+    # per local slot that may hold an unknown: (key category, entity id,
+    # position, on the boundary) over all elements
     columns = []
     for alpha in alphas:
         nz = [i for i in range(len(alpha)) if alpha[i] > 0]
@@ -133,25 +134,21 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
                             mesh.edge_boundary[e]))
         else:  # interior lattice node, ranked in lexicographic order
             columns.append((3, t, interior.index(alpha), False))
-    interpolated = family in INTERPOLATED_FAMILIES
-    columns += [None if interpolated else (2, t, j, False) for j in range(n_interior)]
+    if family not in INTERPOLATED_FAMILIES:
+        columns += [(2, t, j, False) for j in range(n_interior)]
+    n_node, nb = len(columns), len(alphas) + n_interior
 
     # one integer per entity key, ordered as the keys are
-    stride = max(mesh.num_vertices, mesh.num_edges, mesh.num_triangles,
-                 len(columns)) + 1
-    code = np.zeros((len(ents), len(columns)), dtype=np.int64)
-    boundary = np.zeros((len(ents), len(columns)), dtype=bool)
-    for m, col in enumerate(columns):
-        if col is not None:
-            category, entity, position, bnd = col
-            code[:, m] = (category * stride + entity) * stride + position
-            boundary[:, m] = bnd
-    interp_mask = np.array([col is None for col in columns])
-    free = ~boundary & ~interp_mask
-    keys, index = np.unique(code[free], return_inverse=True)
-    dofs = np.full(code.shape, -1, dtype=np.int32)
-    dofs[free] = index
-    return DofMap(n_free=len(keys), dofs=dofs, interp_mask=interp_mask)
+    stride = max(mesh.num_vertices, mesh.num_edges, mesh.num_triangles, nb) + 1
+    code = np.zeros((len(ents), n_node), dtype=np.int64)
+    boundary = np.zeros((len(ents), n_node), dtype=bool)
+    for m, (category, entity, position, bnd) in enumerate(columns):
+        code[:, m] = (category * stride + entity) * stride + position
+        boundary[:, m] = bnd
+    keys, index = np.unique(code[~boundary], return_inverse=True)
+    dofs = np.full((len(ents), nb), -1, dtype=np.int32)
+    dofs[:, :n_node][~boundary] = index
+    return DofMap(n_free=len(keys), dofs=dofs, n_node=n_node)
 
 
 @dataclass
@@ -250,10 +247,10 @@ def element_blocks(space: Space, tabulate):
     The classes are taken block_size at a time, and tabulate runs once on
     each such block of class rows; the elements of those classes follow in
     blocks of at most block_size.  A class's rows do not depend on the other
-    classes tabulated with it, so the tables equal those of tabulating every
+    classes of its block, so the tables equal those of tabulating every
     element, bit for bit.  The passes write only per-element outputs and add
     them up in element order afterwards, so the walk does not change a bit.
-    A class block's tables are dropped before the next block is tabulated.
+    A class block's tables are dropped before the next block's are made.
     """
     step = block_size(space.k, *space.basis.shape[1:3])      # nb, parts
     order = np.argsort(space.shape, kind="stable")
@@ -292,7 +289,7 @@ def assemble_system(space: Space, f) -> SparseSystem:
     """
     dm = space.dof_map
     S, L, c = _element_tables(space, f)
-    n_node = S.shape[1]
+    n_node = dm.n_node
     # The order of the entries of every global row and of the additions into
     # F fixes the rounding of A and F, and CG at the default tolerance is
     # sensitive to their last bits.
@@ -318,38 +315,34 @@ def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray
     element's load vector (E, nb), and the interior coefficients (E, n_interp
     per element).
 
-    The node slots come first (`elements.slot_layout`), so they are the slots
-    [:n_node], n_node = nb - n_interp.  An interpolated slot has no unknown,
-    so A reads only the node x node block of the stiffness and F only its
-    node x interpolated block: the interpolated slots' rows are never read.
-    A leading slice of the n axis gives the full stiffness form's rows bit
-    for bit.  The baselines interpolate no slot, so their n_node is nb.
+    An interpolated slot has no unknown, so A reads only the node x node
+    block of the stiffness and F only its node x interpolated block: the
+    interpolated slots' rows are never read.  The node slots are the slots
+    [:n_node] (`DofMap`), and a leading slice of the n axis gives the full
+    stiffness form's rows bit for bit.  S is summed over the walk's blocks
+    of block_size classes, before the walk; a class's rows do not depend on
+    the other classes of its block, and the walk's order does not reach S.
     """
     dm = space.dof_map
-    k = space.k
+    k, n_node = space.k, dm.n_node
     nb, parts = space.basis.shape[1], range(space.basis.shape[2])
-    n_node = nb - int(dm.interp_mask.sum())
     stiff_rule = make_quad_rule(stiffness_rule_degree(k))
     load_rule = make_quad_rule(load_rule_degree(k))
     S = np.zeros((len(space.basis), n_node, nb))
-    tabulated = 0
+    step = block_size(k, nb, len(parts))
+    for c0 in range(0, len(S), step):
+        block = slice(c0, c0 + step)
+        for part in parts:
+            grads = el.block_gradients(space.basis[block, :, part], k,
+                                       space.grad_lambda[block, part], stiff_rule)
+            S[block] += space.area[block, part, None, None] * np.einsum(
+                "bnpd,bmpd,p->bnm", grads[:, :n_node], grads, stiff_rule.weights)
 
     def tabulate(basis, grad_lambda, area):
-        """Write the block's stiffness matrices into S's next rows (the walk
-        takes the classes in order); return its area-weighted basis values
-        (B, nb, P) at the load rule, one array per part."""
-        nonlocal tabulated
-        S_block = S[tabulated:tabulated + len(basis)]
-        tabulated += len(basis)
-        av = []
-        for part in parts:
-            grads = el.block_gradients(basis[:, :, part], k, grad_lambda[:, part],
-                                       stiff_rule)                  # (B, nb, P, 2)
-            S_block += area[:, part, None, None] * np.einsum(
-                "bnpd,bmpd,p->bnm", grads[:, :n_node], grads, stiff_rule.weights)
-            av.append(area[:, part, None, None]
-                      * el.block_values(basis[:, :, part], k, load_rule))
-        return av
+        """The block's area-weighted basis values (B, nb, P) at the load rule,
+        one array per part."""
+        return [area[:, part, None, None] * el.block_values(basis[:, :, part], k, load_rule)
+                for part in parts]
 
     L = np.zeros(dm.dofs.shape)                           # (E, nb)
     for e, verts, _, av in element_blocks(space, tabulate):
@@ -358,8 +351,8 @@ def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray
             fv = f(xy[..., 0], xy[..., 1])
             L[e] += (av[part] @ (load_rule.weights * fv)[:, :, None])[..., 0]
     if space.family == "pk_interp":
-        c = L[:, dm.interp_mask]                          # (E, n_interp)
-    elif dm.interp_mask.any():
+        c = L[:, n_node:]                                 # (E, n_interp)
+    elif n_node < nb:
         c = f(space.lap_xy[:, 0], space.lap_xy[:, 1])[:, None]
     else:
         c = np.zeros((len(dm.dofs), 0))

@@ -341,29 +341,15 @@ def _csv_report(report: ConvergenceReport) -> str:
     return out.getvalue()
 
 
-def emit_report(report: ConvergenceReport, output_format: str,
-                destination=None) -> str:
-    """Render the report as text, csv or json and write it to `destination`
-    (path, file, or None)."""
+def emit_report(report: ConvergenceReport, output_format: str) -> str:
+    """Render the report as text, csv or json."""
     if output_format == "text":
-        payload = _text_report(report)
-    elif output_format == "csv":
-        payload = _csv_report(report)
-    elif output_format == "json":
-        payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown format {output_format!r}")
-    if destination is None:
-        return payload
-    if hasattr(destination, "write"):
-        destination.write(payload)
-        return payload
-    try:
-        with open(destination, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination}: {exc}") from exc
-    return payload
+        return _text_report(report)
+    if output_format == "csv":
+        return _csv_report(report)
+    if output_format == "json":
+        return json.dumps(report.to_dict(), indent=2) + "\n"
+    raise ValueError(f"unknown format {output_format!r}")
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -410,12 +396,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report = run_experiment(config)
-    try:
-        emit_report(report, args.output_format,
-                    args.out if args.out else sys.stdout)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    payload = emit_report(report, args.output_format)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    else:
+        sys.stdout.write(payload)
     return EXIT_SOLVER if report.failures else EXIT_OK
 
 

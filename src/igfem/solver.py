@@ -48,8 +48,10 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     Stops when the recursively updated residual r satisfies ||r|| <= rel_tol
     * ||F||, and then reports the true relative residual ||F - A x|| / ||F||,
     at the cost of one more matrix-vector product; near the rounding floor
-    the two differ.  Raises SolverError when max_iter (default 20 n) is
-    exhausted first; its stats carry the smallest recursive residual.
+    the two differ.  Raises SolverError, whose stats carry the smallest
+    recursive residual, when max_iter (default max(20 n, 50)) is exhausted
+    first, on a nonpositive curvature p.Ap <= 0, or on stagnation: no new
+    least residual in max(200, n // 4) iterations.
     """
     n = A.shape[0]
     F = np.asarray(F, dtype=float)

@@ -60,7 +60,7 @@ def test_dof_counts_level2_p2c():
     # 1 interior corner + 4 interior side midpoints
     assert dm.n_free == 5
     assert dm.n_interp == 4
-    assert (~dm.interp_mask).sum() == 8
+    assert dm.n_node == 8
 
 
 def test_dof_counts_level2_p3():
@@ -81,8 +81,8 @@ def test_local_slot_reduction(k):
     mesh = build_crisscross_mesh(2)
     interp = build_dof_map(mesh, "pk_interp", k)
     lagr = build_dof_map(mesh, "pk_lagrange", k)
-    assert (~interp.interp_mask).sum() == 3 * k
-    assert (~lagr.interp_mask).sum() == (k + 1) * (k + 2) // 2
+    assert interp.n_node == 3 * k
+    assert lagr.n_node == (k + 1) * (k + 2) // 2
 
 
 def test_p2c_rejects_perturbed_mesh():
@@ -104,7 +104,7 @@ def test_interior_coefficients_zero_f():
     for family, k in (("p2nc_interp", 2), ("p3_interp", 3), ("pk_interp", 4)):
         space = build_space(mesh, family, k)
         c = assemble_system(space, lambda x, y: 0.0 * x).interp_coeffs
-        assert c.shape == (space.n_elements, space.dof_map.interp_mask.sum())
+        assert c.shape == (space.n_elements, space.basis.shape[1] - space.dof_map.n_node)
         assert np.allclose(c, 0.0)
 
 
@@ -262,7 +262,7 @@ def test_interior_test_function_orthogonality_on_patch():
         xy = rule.points @ geom.vertices
         w = rule.weights * geom.area
         fv = PATCH.f(xy[:, 0], xy[:, 1])
-        for slot in np.flatnonzero(space.dof_map.interp_mask):
+        for slot in range(space.dof_map.n_node, space.basis.shape[1]):
             lhs = w @ np.sum(uh_grad * grads[slot], axis=1)
             rhs = w @ (fv * vals[slot])
             assert abs(lhs - rhs) <= 1e-9
@@ -283,7 +283,7 @@ def _element_interior_coefficients(space, eid, f, L) -> np.ndarray:
     """Interior coefficients of one element with local load L: the moment
     element's c_j = -int p_j b f is the load of psi_j = -b p_j."""
     if space.family == "pk_interp":
-        return L[space.dof_map.interp_mask]
+        return L[space.dof_map.n_node:]
     if space.family in ("p2c_interp", "p2nc_interp", "p3_interp"):
         x, y = space.lap_xy[eid]
         return np.array([f(x, y)], dtype=float)
@@ -317,7 +317,7 @@ def _reference_assembly(space, f):
     rows, cols, vals = [], [], []
     F = np.zeros(dm.n_free)
     coeffs = []
-    interp_slots = np.flatnonzero(dm.interp_mask)
+    interp_slots = range(dm.n_node, dm.dofs.shape[1])
     for eid in range(space.n_elements):
         S, L, c = _element_contribution(space, f, eid)
         coeffs.append(c)
@@ -370,7 +370,7 @@ def _coo_reference(space, f):
     S = np.zeros(dm.dofs.shape + dm.dofs.shape[1:])
     S[:, :rows.shape[1]] = rows[space.shape]
     free = dm.dofs >= 0
-    terms = np.concatenate([L[:, :, None], -S[:, :, dm.interp_mask] * c[:, None, :]],
+    terms = np.concatenate([L[:, :, None], -S[:, :, dm.n_node:] * c[:, None, :]],
                            axis=2)
     F = np.zeros(dm.n_free)
     np.add.at(F, np.broadcast_to(dm.dofs[:, :, None], terms.shape)[free].ravel(),
@@ -422,10 +422,8 @@ def test_stiffness_node_rows_bit_identical_to_full_form(family, k, perturb):
     # they equal the full (nb, nb) form's rows bit for bit.  The baselines
     # interpolate no slot, so every row is a node row.
     space = build_space(build_crisscross_mesh(3, perturb=perturb), family, k)
-    interp = space.dof_map.interp_mask
-    n_node = len(interp) - interp.sum()
-    assert not interp[:n_node].any() and interp[n_node:].all()
-    assert (n_node < len(interp)) == (family in igfem.assembly.INTERPOLATED_FAMILIES)
+    n_node = space.dof_map.n_node
+    assert (n_node < space.basis.shape[1]) == (family in igfem.assembly.INTERPOLATED_FAMILIES)
     rule = make_quad_rule(stiffness_rule_degree(space.k))
     full = np.zeros(space.basis.shape[:2] + space.basis.shape[1:2])
     for part in range(space.basis.shape[2]):
@@ -451,8 +449,8 @@ def test_pk_node_interior_stiffness_at_rounding_level(k):
         grads = block_gradients(space.basis[:, :, 0], k, space.grad_lambda[:, 0], rule)
         S = space.area[:, 0, None, None] * np.einsum("bnpd,bmpd,p->bnm", grads, grads,
                                                      rule.weights)
-        interp = space.dof_map.interp_mask
-        block = np.abs(S[:, ~interp][:, :, interp]).max(axis=(1, 2))
+        n_node = space.dof_map.n_node
+        block = np.abs(S[:, :n_node, n_node:]).max(axis=(1, 2))
         assert np.all(block <= 1e-12 * np.abs(S).max(axis=(1, 2))), (level, perturb)
 
 
@@ -594,6 +592,60 @@ def test_walk_drops_each_class_block_before_the_next():
     walked = [e for e, *_ in element_blocks(space, tabulate)]
     assert np.array_equal(np.concatenate(walked), np.arange(16))
     assert all(ref() is None for ref in earlier)
+
+
+def _reversed_walk(space, tabulate):
+    """element_blocks with its class blocks taken last to first."""
+    step = block_size(space.k, *space.basis.shape[1:3])
+    for c0 in reversed(range(0, len(space.basis), step)):
+        c = slice(c0, c0 + step)
+        rows = tabulate(space.basis[c], space.grad_lambda[c], space.area[c])
+        elements = np.flatnonzero((space.shape >= c0) & (space.shape < c0 + step))
+        for start in range(0, len(elements), step):
+            e = elements[start:start + step]
+            at = space.shape[e] - c0
+            yield e, space.vertices(e), space.area[space.shape[e]], tuple(t[at] for t in rows)
+
+
+@pytest.mark.parametrize("family,k,level,perturb", [
+    ("pk_interp", 8, 2, 0.0), ("p3_interp", None, 3, 0.2)])
+def test_assembly_independent_of_walk_order(monkeypatch, family, k, level, perturb):
+    # the walk's order is free: assembly's bits must not depend on it
+    space = build_space(build_crisscross_mesh(level, perturb=perturb), family, k)
+    step = block_size(space.k, *space.basis.shape[1:3])
+    assert -(-len(space.basis) // step) == 2        # two class blocks
+    walks = []
+    for walk in (element_blocks, _reversed_walk):
+        monkeypatch.setattr(igfem.assembly, "element_blocks", walk)
+        system = assemble_system(space, SINE.f)
+        walks.append((system.A.data, system.A.indices, system.A.indptr, system.F,
+                      system.interp_coeffs))
+    for a, b in zip(*walks):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+_LAYOUT_CASES = [("p2c_interp", None), ("p2nc_interp", None), ("p2nc_std", None),
+                 ("p3_interp", None), ("pk_interp", 4), ("pk_interp", 8),
+                 ("pk_lagrange", 1), ("pk_lagrange", 8)]
+
+
+@pytest.mark.parametrize("family,k", _LAYOUT_CASES,
+                         ids=[f"{fam}-{k}" for fam, k in _LAYOUT_CASES])
+def test_slot_layout_node_slots_first(family, k):
+    # the slots [:n_node] may hold an unknown, the slots [n_node:] are
+    # interpolated and hold none
+    dm = build_dof_map(build_crisscross_mesh(2), family, k)
+    E, nb = dm.dofs.shape
+    alphas, n_interior = igfem.elements.slot_layout(family, resolve_degree(family, k))
+    assert nb == len(alphas) + n_interior
+    if family in igfem.assembly.INTERPOLATED_FAMILIES:
+        assert dm.n_node == len(alphas) < nb
+    else:
+        assert dm.n_node == nb
+    assert np.all(dm.dofs[:, dm.n_node:] == -1)
+    assert (dm.dofs[:, :dm.n_node] >= 0).any(axis=0).all()
+    assert dm.n_interp == E * (nb - dm.n_node)
 
 
 # --- shapes: the elements of a class share its basis and tables -----------------
@@ -743,7 +795,7 @@ def test_shared_tables_bit_identical_to_tabulating_every_element(family, k, leve
     # assembly keeps the node rows of one stiffness matrix per class, not one
     # per element
     nb = space.basis.shape[1]
-    n_node = nb - space.dof_map.interp_mask.sum()
+    n_node = space.dof_map.n_node
     for case in (space, own):
         S, L, _ = igfem.assembly._element_tables(case, SINE.f)
         assert S.shape == (len(case.basis), n_node, nb) and L.shape == (case.n_elements, nb)

@@ -44,7 +44,7 @@ def test_text_report_with_unconverged_estimate():
            "order_l2": None, "order_h1": None, "cg_iters": 5,
            "cond_est": float("nan"), "lambda_max": 2.5, "lambda_min": float("nan"),
            "cond_converged": False}
-    text = emit_report(ConvergenceReport(config=cfg, rows=[row]), "text", None)
+    text = emit_report(ConvergenceReport(config=cfg, rows=[row]), "text")
     assert "level 2: 0.250E+01 /       NaN /       NaN" in text
 
 
@@ -131,7 +131,7 @@ def _config_json(cfg):
 
 
 def test_json_round_trip(small_report):
-    data = json.loads(emit_report(small_report, "json", None))
+    data = json.loads(emit_report(small_report, "json"))
     assert data == {"config": _config_json(small_report.config),
                     "env": small_report.env, "rows": small_report.rows,
                     "baseline_rows": small_report.baseline_rows}
@@ -141,14 +141,14 @@ def test_json_round_trip(small_report):
 
 
 def test_csv_shape(small_report):
-    payload = emit_report(small_report, "csv", None)
+    payload = emit_report(small_report, "csv")
     lines = payload.strip().split("\n")
     assert len(lines) == 1 + 2 * 3  # header + (primary + baseline) * levels
     assert lines[0].startswith("family,level,h,")
 
 
 def test_text_report_shape(small_report):
-    text = emit_report(small_report, "text", None)
+    text = emit_report(small_report, "text")
     assert "0." in text and "E-0" in text
     lines = [l for l in text.split("\n") if l.strip().startswith(("1", "2", "3"))]
     assert len(lines) == 3
@@ -159,7 +159,7 @@ def test_empty_rows_report_is_valid():
     cfg.validate()
     rep = ConvergenceReport(config=cfg, rows=[])
     for fmt in ("text", "csv", "json"):
-        payload = emit_report(rep, fmt, None)
+        payload = emit_report(rep, fmt)
         assert isinstance(payload, str) and payload
 
 
@@ -173,9 +173,9 @@ def test_reports_byte_identical_across_runs():
     cfg2 = ExperimentConfig(family="p2nc_interp", levels=(1, 2))
     rep1, rep2 = run_experiment(cfg1), run_experiment(cfg2)
     for fmt in ("text", "csv"):
-        assert emit_report(rep1, fmt, None) == emit_report(rep2, fmt, None)
+        assert emit_report(rep1, fmt) == emit_report(rep2, fmt)
     # JSON rows also carry wall times; everything else is byte-identical
-    r1, r2 = (json.loads(emit_report(rep, "json", None)) for rep in (rep1, rep2))
+    r1, r2 = (json.loads(emit_report(rep, "json")) for rep in (rep1, rep2))
     r1["rows"], r2["rows"] = without_timings(r1["rows"]), without_timings(r2["rows"])
     assert json.dumps(r1, indent=2) == json.dumps(r2, indent=2)
 
@@ -196,28 +196,28 @@ def test_condition_flag_adds_estimates():
     assert row["cond_converged"] is True
     # lambda_min is the smallest eigenvalue; no null space is split off
     for fmt in ("json", "csv", "text"):
-        assert "null_dim" not in emit_report(rep, fmt, None)
+        assert "null_dim" not in emit_report(rep, fmt)
     # the JSON report carries the estimate's status; CSV and text do not
-    data = json.loads(emit_report(rep, "json", None))
+    data = json.loads(emit_report(rep, "json"))
     assert data["rows"][0]["cond_converged"] is True
-    assert "cond_converged" not in emit_report(rep, "csv", None)
+    assert "cond_converged" not in emit_report(rep, "csv")
     # so does the CG residual, which is 0.0 where there is nothing to solve
     assert 0.0 < row["cg_residual"] <= 1e-13
     assert data["rows"][0]["cg_residual"] == row["cg_residual"]
     for fmt in ("csv", "text"):
-        assert "cg_residual" not in emit_report(rep, fmt, None)
+        assert "cg_residual" not in emit_report(rep, fmt)
     empty = run_experiment(ExperimentConfig(family="p2c_interp", levels=(1,)))
     assert empty.rows[0]["free_dofs"] == 0 and empty.rows[0]["cg_residual"] == 0.0
     # JSON rows time every phase of their level, the condition estimate only
     # where one was made; CSV and text leave the timings out
     phases = {"mesh", "space", "assemble", "cg", "interpolate", "norms"}
     for r, want in ((data["rows"][0], phases | {"condition"}),
-                    (json.loads(emit_report(empty, "json", None))["rows"][0], phases)):
+                    (json.loads(emit_report(empty, "json"))["rows"][0], phases)):
         assert set(r["timings"]) == want
         assert all(isinstance(v, float) and v >= 0.0 for v in r["timings"].values())
     for report in (rep, empty):
         for fmt in ("csv", "text"):
-            assert "timings" not in emit_report(report, fmt, None)
+            assert "timings" not in emit_report(report, fmt)
 
 
 @pytest.mark.parametrize("condition", [False, True])
@@ -252,7 +252,7 @@ def test_one_level_held_at_a_time(monkeypatch, condition):
                                         *["condition"] * condition, "interpolate", "norms"]
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--family", "p3_interp", "--levels", "1..2",
                  "--format", "json", "--out", str(out)])
@@ -260,11 +260,20 @@ def test_main_exit_codes(tmp_path):
     data = json.loads(out.read_text())
     assert data["config"]["family"] == "p3_interp"
     assert len(data["rows"]) == 2
+    assert capsys.readouterr().out == ""
+
+    # without --out the report goes to stdout
+    assert main(["--family", "p3_interp", "--levels", "1..2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("family,level,")
 
     assert main(["--family", "pk_interp", "--levels", "1..2"]) == 2  # no degree
     assert main(["--family", "p3_interp", "--levels", "7..5"]) == 2
-    assert main(["--family", "p3_interp", "--levels", "1..2",
-                 "--out", "/nonexistent-dir/x/report.txt"]) == 2
+    capsys.readouterr()
+    missing = tmp_path / "missing-dir" / "report.txt"
+    assert main(["--family", "p3_interp", "--levels", "1..2", "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {missing}: ")
 
 
 def test_solver_failure_is_logged(monkeypatch, caplog, capsys):
@@ -286,7 +295,7 @@ def test_solver_failure_is_logged(monkeypatch, caplog, capsys):
     assert report.rows == []
     assert report.failures == [(1, "p3_interp level 1: no convergence"),
                                (2, "p3_interp level 2: no convergence")]
-    assert json.loads(emit_report(report, "json", None))["failures"] == [
+    assert json.loads(emit_report(report, "json"))["failures"] == [
         [1, "p3_interp level 1: no convergence"], [2, "p3_interp level 2: no convergence"]]
 
 
@@ -294,7 +303,7 @@ def test_json_report_records_environment(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     report = run_experiment(ExperimentConfig(family="p2c_interp", levels=(1,)))
-    data = json.loads(emit_report(report, "json", None))
+    data = json.loads(emit_report(report, "json"))
     env = data["env"]
     assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version",
                         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
@@ -306,7 +315,7 @@ def test_json_report_records_environment(monkeypatch):
     assert data == {"config": _config_json(report.config), "env": report.env,
                     "rows": report.rows}
     for fmt in ("csv", "text"):
-        assert "OPENBLAS" not in emit_report(report, fmt, None)
+        assert "OPENBLAS" not in emit_report(report, fmt)
 
 
 def _src_env():

@@ -39,7 +39,7 @@ def _readme_row_keys() -> list[str]:
 def test_json_row_key_order_matches_readme(condition):
     report = run_experiment(ExperimentConfig(family="p3_interp", levels=(2,),
                                              compare=True, condition=condition))
-    data = json.loads(emit_report(report, "json", None))
+    data = json.loads(emit_report(report, "json"))
     want = _readme_row_keys()
     if condition:
         # the condition keys, in the order the README lists them, come before timings
