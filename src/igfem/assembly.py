@@ -23,7 +23,6 @@ from .poly import (make_quad_rule, multi_indices, num_coeffs, triangle_geometry,
 
 __all__ = [
     "FAMILIES",
-    "INTERPOLATED_FAMILIES",
     "Space",
     "DofMap",
     "SparseSystem",
@@ -35,27 +34,31 @@ __all__ = [
     "stiffness_rule_degree",
 ]
 
-FAMILIES = ("p2c_interp", "p2nc_interp", "p2nc_std", "p3_interp",
-            "pk_interp", "pk_lagrange")
-INTERPOLATED_FAMILIES = ("p2c_interp", "p2nc_interp", "p3_interp", "pk_interp")
-_FIXED_DEGREE = {"p2c_interp": 2, "p2nc_interp": 2, "p2nc_std": 2, "p3_interp": 3}
+# family: (fixed degree or None, least degree, baseline or None, report label).
+# A baseline runs at its family's degree; a family with none is a baseline.
+FAMILIES = {
+    "p2c_interp": (2, 2, "pk_lagrange", "P{k} interpolated conforming"),
+    "p2nc_interp": (2, 2, "p2nc_std", "P{k} interpolated nonconforming"),
+    "p2nc_std": (2, 2, None, "P{k} nonconforming"),
+    "p3_interp": (3, 3, "pk_lagrange", "P{k} interpolated"),
+    "pk_interp": (None, 4, "pk_lagrange", "P{k} interpolated"),
+    "pk_lagrange": (None, 1, None, "P{k} Lagrange"),
+}
 
 
 def resolve_degree(family: str, k: int | None = None) -> int:
     """Validate family/degree and return the effective polynomial degree."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    fixed = _FIXED_DEGREE.get(family)
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    fixed, least, _, _ = FAMILIES[family]
     if fixed is not None:
         if k is not None and k != fixed:
             raise ValueError(f"family {family} has degree {fixed}, got k={k}")
         return fixed
     if k is None:
         raise ValueError(f"family {family} needs an explicit degree")
-    if family == "pk_interp" and k < 4:
-        raise ValueError(f"pk_interp needs k >= 4, got {k}")
-    if family == "pk_lagrange" and k < 1:
-        raise ValueError(f"pk_lagrange needs k >= 1, got {k}")
+    if k < least:
+        raise ValueError(f"{family} needs k >= {least}, got {k}")
     if k > 8:
         raise ValueError(f"degree {k} exceeds the supported quadrature range (k <= 8)")
     return k
@@ -104,11 +107,11 @@ def corner_ids(mesh: Mesh, family: str) -> np.ndarray:
 def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     """Number global DOFs: shared entities identified, boundary DOFs constrained.
 
-    Interior slots are interpolated for the interpolated families; for
-    pk_lagrange and p2nc_std they are ordinary free unknowns.  Free unknowns
-    are numbered in the order of their entity keys: vertices, then edge
-    nodes (edge id, position along the edge), then element-interior slots
-    (element id, slot).
+    Interior slots are interpolated for the interpolated families; the
+    baselines, the families with no baseline, keep them as free unknowns.
+    Free unknowns are numbered in the order of their entity keys: vertices,
+    then edge nodes (edge id, position along the edge), then element-interior
+    slots (element id, slot).
     """
     k = resolve_degree(family, k)
     if family == "p2c_interp" and mesh.perturbation != 0.0:
@@ -134,7 +137,8 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
                             mesh.edge_boundary[e]))
         else:  # interior lattice node, ranked in lexicographic order
             columns.append((3, t, interior.index(alpha), False))
-    if family not in INTERPOLATED_FAMILIES:
+    _, _, baseline, _ = FAMILIES[family]
+    if baseline is None:
         columns += [(2, t, j, False) for j in range(n_interior)]
     n_node, nb = len(columns), len(alphas) + n_interior
 

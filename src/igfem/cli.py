@@ -94,11 +94,6 @@ PROBLEMS = {
     "poly4": Problem(_poly4_u, _poly4_u_grad, _poly4_f),
 }
 
-# every baseline runs at its family's degree
-_BASELINE = {"p2c_interp": "pk_lagrange", "p2nc_interp": "p2nc_std",
-             "p3_interp": "pk_lagrange", "pk_interp": "pk_lagrange"}
-
-
 @dataclass
 class ExperimentConfig:
     family: str
@@ -123,11 +118,12 @@ class ExperimentConfig:
             raise ValueError(f"levels must lie in 1..{MAX_LEVEL}, got {lv}")
         if not (0 < self.tol < 1e-2):
             raise ValueError(f"tol must be in (0, 1e-2), got {self.tol}")
-        if self.compare and self.family not in _BASELINE:
+        if self.compare and self.baseline()[0] is None:
             raise ValueError(f"family {self.family} has no matching baseline")
 
-    def baseline(self) -> tuple[str, int]:
-        return _BASELINE[self.family], self.degree     # as validate() resolved it
+    def baseline(self) -> tuple[str | None, int]:
+        _, _, baseline, _ = FAMILIES[self.family]
+        return baseline, self.degree     # as validate() resolved it
 
 
 _ROW_KEYS = ("level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",
@@ -259,15 +255,8 @@ def fixed_sci(v: float) -> str:
         return f"{'NaN' if math.isnan(v) else '-Inf' if v < 0 else 'Inf':>9s}"
     if v == 0.0:
         return "0.000E+00"
-    sign = "-" if v < 0 else ""
-    a = abs(v)
-    e = math.floor(math.log10(a)) + 1
-    mant = a / 10.0 ** e
-    digits = round(mant * 1000.0)
-    if digits >= 1000:
-        digits = 100
-        e += 1
-    return f"{sign}0.{digits:03d}E{e:+03d}"
+    mant, e = f"{abs(v):.2e}".split("e")      # d.dd, correctly rounded
+    return f"{'-' if v < 0 else ''}0.{mant.replace('.', '')}E{int(e) + 1:+03d}"
 
 
 def _fmt_order(o) -> str:
@@ -275,15 +264,8 @@ def _fmt_order(o) -> str:
 
 
 def _family_label(family: str, k: int) -> str:
-    names = {
-        "p2c_interp": "P2 interpolated conforming",
-        "p2nc_interp": "P2 interpolated nonconforming",
-        "p2nc_std": "P2 nonconforming",
-        "p3_interp": "P3 interpolated",
-        "pk_interp": f"P{k} interpolated",
-        "pk_lagrange": f"P{k} Lagrange",
-    }
-    return names[family]
+    _, _, _, label = FAMILIES[family]
+    return label.format(k=k)
 
 
 def _text_report(report: ConvergenceReport) -> str:

@@ -1,4 +1,5 @@
-"""Print one sha256 per case over the bits a refactor must not move.
+"""Print one sha256 per case, and one per sweep, over the bits a refactor
+must not move.
 
 A change that claims to keep every bit runs this on its tree and on its
 parent's, with one BLAS thread, and compares the output:
@@ -15,6 +16,11 @@ this order:
   - the DOF table;
   - the coefficient tables of u_h and of I_h u;
   - the four error norms and the CG iteration count.
+Then each sweep of SWEEPS runs in-process through `run_experiment`, and its
+hash covers the text, CSV and JSON reports of `emit_report`, with the
+timings removed from every row.  The sweeps are the three benchmark
+workloads and two more that reach p3_interp with poly4 and p2c_interp with
+condition estimates.
 pytest does not collect this file.
 """
 
@@ -27,7 +33,7 @@ import numpy as np
 
 from igfem.analysis import FeFunction, error_norms, interpolate_exact
 from igfem.assembly import _element_tables, assemble_system, build_space
-from igfem.cli import PROBLEMS
+from igfem.cli import PROBLEMS, ExperimentConfig, emit_report, run_experiment
 from igfem.mesh import build_crisscross_mesh
 from igfem.solver import cg_solve
 
@@ -47,6 +53,15 @@ CASES = (
     ("pk_lagrange", 3, 3, 0.0),
     ("pk_lagrange", 3, 3, 0.2),
     ("pk_lagrange", 8, 2, 0.0),
+)
+
+# ExperimentConfig keyword arguments
+SWEEPS = (
+    {"family": "p2nc_interp", "levels": (3, 4, 5, 6), "compare": True},
+    {"family": "pk_interp", "degree": 8, "levels": (1, 2, 3, 4), "compare": True},
+    {"family": "p2nc_interp", "levels": (2, 3, 4, 5), "compare": True, "condition": True},
+    {"family": "p3_interp", "levels": (2, 3, 4, 5), "compare": True, "problem": "poly4"},
+    {"family": "p2c_interp", "levels": (1, 2, 3, 4, 5), "compare": True, "condition": True},
 )
 
 
@@ -69,12 +84,25 @@ def case_digest(family, k, level, perturb, problem) -> str:
     return h.hexdigest()
 
 
+def sweep_digest(kwargs) -> str:
+    report = run_experiment(ExperimentConfig(**kwargs))
+    for row in report.rows + (report.baseline_rows or []):
+        del row["timings"]
+    h = hashlib.sha256()
+    for output_format in ("text", "csv", "json"):
+        h.update(emit_report(report, output_format).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for family, k, level, perturb in CASES:
         for name in ("sine", "poly4"):
             digest = case_digest(family, k, level, perturb, PROBLEMS[name])
             print(f"{family:<12s} k={k!s:<4s} L{level} perturb={perturb:<4} "
                   f"{name:<5s} {digest}")
+    for kwargs in SWEEPS:
+        args = " ".join(f"{key}={value}" for key, value in kwargs.items())
+        print(f"sweep {args} {sweep_digest(kwargs)}")
     return 0
 
 

@@ -423,7 +423,7 @@ def test_stiffness_node_rows_bit_identical_to_full_form(family, k, perturb):
     # interpolate no slot, so every row is a node row.
     space = build_space(build_crisscross_mesh(3, perturb=perturb), family, k)
     n_node = space.dof_map.n_node
-    assert (n_node < space.basis.shape[1]) == (family in igfem.assembly.INTERPOLATED_FAMILIES)
+    assert (n_node < space.basis.shape[1]) == (FAMILIES[family][2] is not None)
     rule = make_quad_rule(stiffness_rule_degree(space.k))
     full = np.zeros(space.basis.shape[:2] + space.basis.shape[1:2])
     for part in range(space.basis.shape[2]):
@@ -482,9 +482,8 @@ def test_assembly_transient_memory(family, k, level, bound):
 
 def test_block_size_rule():
     assert block_size(8, num_coeffs(8), 1) == 8
-    for family in FAMILIES:
-        for k in ([None] if family in ("p2c_interp", "p2nc_interp", "p2nc_std", "p3_interp")
-                  else range(4 if family == "pk_interp" else 1, 9)):
+    for family, (fixed, least, _, _) in FAMILIES.items():
+        for k in [None] if fixed else range(least, 9):
             space = build_space(build_crisscross_mesh(1), family, k)
             _, nb, parts, _ = space.basis.shape
             table = nb * parts * len(make_quad_rule(norm_rule_degree(space.k)).weights) * 16
@@ -639,7 +638,7 @@ def test_slot_layout_node_slots_first(family, k):
     E, nb = dm.dofs.shape
     alphas, n_interior = igfem.elements.slot_layout(family, resolve_degree(family, k))
     assert nb == len(alphas) + n_interior
-    if family in igfem.assembly.INTERPOLATED_FAMILIES:
+    if FAMILIES[family][2] is not None:      # an interpolated family
         assert dm.n_node == len(alphas) < nb
     else:
         assert dm.n_node == nb

@@ -14,6 +14,8 @@ import scipy
 import igfem.cli
 from igfem.cli import (ConvergenceReport, ExperimentConfig, PROBLEMS, emit_report,
                        main, fixed_sci, run_experiment, _parse_levels)
+from igfem.assembly import FAMILIES, build_space
+from igfem.mesh import build_crisscross_mesh
 from igfem.solver import SolveStats, SolverError
 
 
@@ -27,6 +29,11 @@ from igfem.solver import SolveStats, SolverError
     (-6.14e-4, "-0.614E-03"),
     (9.999e-5, "0.100E-03"),   # mantissa rounding carries into the exponent
     (0.1, "0.100E+00"),
+    # the stored double rounds correctly: 1.965 is 1.96500000000000008
+    (1.965, "0.197E+01"),
+    (2.375e-13, "0.237E-12"),
+    (0.005835, "0.583E-02"),
+    (3.615e-12, "0.361E-11"),
     # non-finite values keep the 9-column width of a finite one
     pytest.param(float("nan"), "      NaN", id="nan"),
     pytest.param(float("inf"), "      Inf", id="inf"),
@@ -161,6 +168,42 @@ def test_empty_rows_report_is_valid():
     for fmt in ("text", "csv", "json"):
         payload = emit_report(rep, fmt)
         assert isinstance(payload, str) and payload
+
+
+_LABELS = {   # family: (its label, its baseline's label or None), the pk families at k=5
+    "p2c_interp": ("P2 interpolated conforming", "P2 Lagrange"),
+    "p2nc_interp": ("P2 interpolated nonconforming", "P2 nonconforming"),
+    "p2nc_std": ("P2 nonconforming", None),
+    "p3_interp": ("P3 interpolated", "P3 Lagrange"),
+    "pk_interp": ("P5 interpolated", "P5 Lagrange"),
+    "pk_lagrange": ("P5 Lagrange", None),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_families_table_gives_label_baseline_and_interior_slots(family):
+    fixed, _, baseline, label = FAMILIES[family]
+    k = fixed or 5
+    want, want_baseline = _LABELS[family]
+    assert label.format(k=k) == want
+    assert (baseline is None) == (want_baseline is None)
+    # --compare is accepted exactly when the family has a baseline
+    cfg = ExperimentConfig(family=family, degree=None if fixed else k, levels=(1,),
+                           compare=True)
+    if baseline is None:
+        with pytest.raises(ValueError, match="no matching baseline"):
+            cfg.validate()
+        cfg.compare = False
+    cfg.validate()
+    # the text header names the family, and its baseline side by side
+    rep = ConvergenceReport(config=cfg, rows=[],
+                            baseline_rows=None if baseline is None else [])
+    header = emit_report(rep, "text").splitlines()[1]
+    assert [cell.strip() for cell in header.removeprefix("grid").split("|")] == \
+        [name for name in (want, want_baseline) if name is not None]
+    # an interpolated family, one with a baseline, keeps interior slots out of the system
+    space = build_space(build_crisscross_mesh(1), family, cfg.degree)
+    assert (space.dof_map.n_node < space.basis.shape[1]) == (baseline is not None)
 
 
 def without_timings(rows):
