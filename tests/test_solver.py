@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -153,7 +154,9 @@ def test_condition_nearly_singular_p2nc_std():
 
 def test_condition_cost_and_accuracy_p2nc_std(monkeypatch):
     # the inverse-iteration solves are Jacobi-scaled: the diagonal of this
-    # matrix spans 6.4e-7..5.3, and unpreconditioned CG took 10,518 iterations
+    # matrix spans 6.4e-7..5.3, and unpreconditioned CG took 10,518 iterations.
+    # They run on the Schur complement of the bubbles: 349 iterations, where
+    # CG on A itself took 946
     A = _sine_matrix("p2nc_std", None, 4)
     calls = []
 
@@ -165,7 +168,7 @@ def test_condition_cost_and_accuracy_p2nc_std(monkeypatch):
     monkeypatch.setattr(igfem.solver, "cg_solve", counting_cg)
     est = estimate_condition(A)
     assert est.converged
-    assert 0 < sum(calls) < 3000, calls
+    assert 0 < sum(calls) < 500, calls
     ew = np.linalg.eigvalsh(A.toarray())
     assert est.lambda_min_nonzero == pytest.approx(ew[0], rel=1e-5)
     assert est.lambda_max == pytest.approx(ew[-1], rel=1e-5)
@@ -230,23 +233,76 @@ def test_lanczos_finds_lambda_max_in_few_products(family, level):
 
 @pytest.mark.parametrize("family", ["p2nc_std", "p2nc_interp"])
 def test_condition_ends_on_a_tight_solve(monkeypatch, family):
-    # the early inverse-iteration solves are loose; the Rayleigh quotient the
-    # estimate reports must come from a solve at the final 1e-9
+    # the early inverse-iteration solves are loose; the estimate must report
+    # A's Rayleigh quotient at the iterate of a solve at the final 1e-9, also
+    # where CG runs on the Schur complement of p2nc_std's bubbles, not on A
     A = _sine_matrix(family, None, 4)
-    steps = []
+    tols, iterates = [], []
+    inverse = igfem.solver._inverse
 
-    def recording_cg(A, v, rel_tol, **kwargs):
-        x, stats = cg_solve(A, v, rel_tol=rel_tol, **kwargs)
-        y = x / np.linalg.norm(x)
-        steps.append((rel_tol, y @ (A @ y)))
-        return x, stats
+    def recording_cg(M, v, rel_tol, **kwargs):
+        tols.append(rel_tol)
+        return cg_solve(M, v, rel_tol=rel_tol, **kwargs)
+
+    def recording_inverse(M):
+        solve = inverse(M)
+
+        def recording_solve(v, rel_tol):
+            iterates.append(solve(v, rel_tol))
+            return iterates[-1]
+        return recording_solve
+
+    monkeypatch.setattr(igfem.solver, "cg_solve", recording_cg)
+    monkeypatch.setattr(igfem.solver, "_inverse", recording_inverse)
+    est = estimate_condition(A)
+    assert est.converged
+    assert len(tols) == len(iterates)
+    assert tols[0] > 1e-9          # the first solve is loose
+    assert tols[-1] == 1e-9
+    assert all(tol >= later for tol, later in zip(tols, tols[1:]))
+    y = iterates[-1] / np.linalg.norm(iterates[-1])
+    assert est.lambda_min_nonzero == y @ (A @ y)
+
+
+@pytest.mark.parametrize("family,k,condensed", [
+    ("p2nc_std", None, True), ("pk_lagrange", 3, True),
+    ("p2nc_interp", None, False), ("p3_interp", None, False), ("pk_interp", 4, False),
+    ("pk_lagrange", 2, False), ("pk_lagrange", 4, False)])
+def test_condition_solves_on_the_schur_complement_of_the_diagonal_block(
+        monkeypatch, family, k, condensed):
+    # p2nc_std's bubbles and pk_lagrange k=3's centroid nodes are one
+    # uncoupled unknown per triangle, numbered last; every other family's
+    # trailing diagonal block is a single row, and CG runs on A itself
+    mesh = build_crisscross_mesh(3)
+    A = assemble_system(build_space(mesh, family, k), PROBLEMS["sine"].f).A
+    matrices = []
+
+    def recording_cg(M, v, **kwargs):
+        matrices.append(M)
+        return cg_solve(M, v, **kwargs)
 
     monkeypatch.setattr(igfem.solver, "cg_solve", recording_cg)
     est = estimate_condition(A)
-    assert est.converged
-    assert steps[0][0] > 1e-9          # the first solve is loose
-    assert steps[-1] == (1e-9, est.lambda_min_nonzero)
-    assert all(tol >= later for (tol, _), (later, _) in zip(steps, steps[1:]))
+    assert est.converged and matrices
+    if condensed:
+        m = A.shape[0] - mesh.num_triangles
+        assert all(M.shape == (m, m) for M in matrices)
+    else:
+        assert all(M is A for M in matrices)
+    assert est.lambda_min_nonzero == pytest.approx(np.linalg.eigvalsh(A.toarray())[0],
+                                                   rel=1e-6)
+
+
+def test_condition_nonpositive_trailing_diagonal_not_converged():
+    # diag([0, 1, 2]) is its own trailing diagonal block; its zero means A is
+    # not SPD, and the estimate ends as a failed CG solve does, with no divide
+    A = sp.csr_array(np.diag([0.0, 1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_condition(A)
+    assert not est.converged
+    assert np.isnan(est.lambda_min_nonzero) and np.isnan(est.condition)
+    assert est.lambda_max == pytest.approx(2.0, rel=1e-12)
 
 
 def test_csr_from_coo_sums_duplicates():
