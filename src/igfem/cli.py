@@ -204,7 +204,7 @@ def _run_level(family: str, k: int, level: int, problem: Problem, tol: float,
     est = None
     if condition and dm.n_free:
         with _timed(timings, "condition"):
-            est = estimate_condition(system.A)
+            est = estimate_condition(system.A, x)
     # the interpolant and the norms need only x and the interior coefficients
     c = system.interp_coeffs
     del system
@@ -319,7 +319,11 @@ def _csv_report(report: ConvergenceReport) -> str:
         groups.append((report.config.baseline()[0], report.baseline_rows))
     for fam, rows in groups:
         for r in rows:
-            w.writerow({"family": fam, **r})
+            row = {"family": fam, **r}
+            if "cond_est" in row:
+                # the estimate settles to about 7 digits (its 1e-7 stop)
+                row["cond_est"] = f"{row['cond_est']:.6e}"
+            w.writerow(row)
     return out.getvalue()
 
 

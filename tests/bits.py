@@ -4,7 +4,7 @@ must not move.
 A change that claims to keep every bit runs this on its tree and on its
 parent's, with one BLAS thread, and compares the output:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/bits.py
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python tests/bits.py
 
 The cases cover every family, plain and perturbed (p2c_interp needs the
 unperturbed mesh), with the sine and poly4 problems.  Each hash covers, in
@@ -18,7 +18,9 @@ this order:
   - the four error norms and the CG iteration count.
 Then each sweep of SWEEPS runs in-process through `run_experiment`, and its
 hash covers the text, CSV and JSON reports of `emit_report`, with the
-timings removed from every row.  The sweeps are the three benchmark
+timings removed from every row and the JSON `env` block emptied, so runs
+that differ only in where they ran (library versions, OMP_NUM_THREADS)
+hash alike.  The sweeps are the three benchmark
 workloads and two more that reach p3_interp with poly4 and p2c_interp with
 condition estimates.
 pytest does not collect this file.
@@ -88,6 +90,7 @@ def sweep_digest(kwargs) -> str:
     report = run_experiment(ExperimentConfig(**kwargs))
     for row in report.rows + (report.baseline_rows or []):
         del row["timings"]
+    report.env = {}
     h = hashlib.sha256()
     for output_format in ("text", "csv", "json"):
         h.update(emit_report(report, output_format).encode())

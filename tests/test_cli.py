@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import platform
 import subprocess
@@ -14,9 +15,9 @@ import scipy
 import igfem.cli
 from igfem.cli import (ConvergenceReport, ExperimentConfig, PROBLEMS, emit_report,
                        main, fixed_sci, run_experiment, _parse_levels)
-from igfem.assembly import FAMILIES, build_space
+from igfem.assembly import FAMILIES, assemble_system, build_space
 from igfem.mesh import build_crisscross_mesh
-from igfem.solver import SolveStats, SolverError
+from igfem.solver import SolveStats, SolverError, cg_solve
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -53,6 +54,23 @@ def test_text_report_with_unconverged_estimate():
            "cond_converged": False}
     text = emit_report(ConvergenceReport(config=cfg, rows=[row]), "text")
     assert "level 2: 0.250E+01 /       NaN /       NaN" in text
+
+
+@pytest.mark.parametrize("cond,expected", [
+    (83785800816.28004, "8.378580e+10"), (13.391345617546976, "1.339135e+01"),
+    (float("nan"), "nan"), (float("inf"), "inf")])
+def test_csv_writes_cond_est_to_its_seven_settled_digits(cond, expected):
+    # the estimate stops when lambda_min changes by at most 1e-7 relative, so
+    # digits past the seventh are noise; JSON keeps the full repr
+    cfg = ExperimentConfig(family="p2nc_interp", levels=(2,), condition=True)
+    cfg.validate()
+    row = {"level": 2, "h": 0.5, "free_dofs": 9, "interp_dofs": 16,
+           "l2_ih": 1e-3, "h1_ih": 1e-2, "l2_true": 1e-3, "h1_true": 1e-2,
+           "order_l2": None, "order_h1": None, "cg_iters": 5, "cond_est": cond}
+    report = ConvergenceReport(config=cfg, rows=[row])
+    assert emit_report(report, "csv").splitlines()[1].endswith(f",5,{expected}")
+    if math.isfinite(cond):
+        assert f'"cond_est": {cond!r}' in emit_report(report, "json")
 
 
 def test_fixed_sci_round_trip_magnitude():
@@ -261,6 +279,42 @@ def test_condition_flag_adds_estimates():
     for report in (rep, empty):
         for fmt in ("csv", "text"):
             assert "timings" not in emit_report(report, fmt)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_cg_solution_leans_on_the_lowest_eigenvector(problem, family, level):
+    # the condition estimate's inverse iteration starts at the CG solution x,
+    # and a start orthogonal to the lowest eigenvector e_1 converges to a
+    # higher eigenvalue; measured shares are 0.86-1.00, so a problem whose
+    # load hides e_1 fails here rather than in a report
+    k = FAMILIES[family][0] or 4
+    system = assemble_system(build_space(build_crisscross_mesh(level), family, k),
+                             PROBLEMS[problem].f)
+    x, _ = cg_solve(system.A, system.F)
+    _, vecs = np.linalg.eigh(system.A.toarray())
+    assert abs(vecs[:, 0] @ x) >= 0.5 * np.linalg.norm(x)
+
+
+def test_condition_estimate_starts_from_the_cg_solution(monkeypatch):
+    starts, solutions = [], []
+    estimate, from_dofs = igfem.cli.estimate_condition, igfem.cli.FeFunction.from_dofs
+
+    def recording_estimate(A, start=None):
+        starts.append(start)
+        return estimate(A, start)
+
+    def recording_from_dofs(space, free, interior):
+        solutions.append(free)
+        return from_dofs(space, free, interior)
+
+    monkeypatch.setattr(igfem.cli, "estimate_condition", recording_estimate)
+    monkeypatch.setattr(igfem.cli.FeFunction, "from_dofs", recording_from_dofs)
+    run_experiment(ExperimentConfig(family="p2nc_interp", levels=(2, 3), compare=True,
+                                    condition=True))
+    assert len(starts) == len(solutions) == 4
+    assert all(start is x for start, x in zip(starts, solutions))
 
 
 @pytest.mark.parametrize("condition", [False, True])

@@ -1,3 +1,4 @@
+import functools
 import io
 import warnings
 
@@ -172,6 +173,53 @@ def test_condition_cost_and_accuracy_p2nc_std(monkeypatch):
     ew = np.linalg.eigvalsh(A.toarray())
     assert est.lambda_min_nonzero == pytest.approx(ew[0], rel=1e-5)
     assert est.lambda_max == pytest.approx(ew[-1], rel=1e-5)
+
+
+@functools.cache
+def _dense_eigenvalues(family, k, level):
+    return np.linalg.eigvalsh(_sine_matrix(family, k, level).toarray())
+
+
+@pytest.mark.parametrize("problem", ["sine", "poly4"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("family,k", [("p2nc_interp", None), ("p2nc_std", None),
+                                      ("p3_interp", None), ("pk_lagrange", 3),
+                                      ("p2c_interp", None)])
+def test_condition_started_at_the_cg_solution(monkeypatch, family, k, level, problem):
+    # the CLI starts inverse iteration at its CG solution x = A^-1 F, which
+    # lies mostly along the lowest eigenvector: the estimate keeps the dense
+    # eigenvalues and takes no more inner CG iterations than the random start
+    system = assemble_system(build_space(build_crisscross_mesh(level), family, k),
+                             PROBLEMS[problem].f)
+    A = system.A
+    x, _ = cg_solve(A, system.F)
+    calls = []
+
+    def counting_cg(*args, **kwargs):
+        x, stats = cg_solve(*args, **kwargs)
+        calls.append(stats.iterations)
+        return x, stats
+
+    monkeypatch.setattr(igfem.solver, "cg_solve", counting_cg)
+    est = estimate_condition(A, x)
+    from_x = sum(calls)
+    calls.clear()
+    estimate_condition(A)
+    assert est.converged
+    assert from_x <= sum(calls)
+    ew = _dense_eigenvalues(family, k, level)
+    rel = 1e-5 if (family, level) == ("p2nc_std", 4) else 1e-6
+    assert est.lambda_min_nonzero == pytest.approx(ew[0], rel=rel)
+    assert est.lambda_max == pytest.approx(ew[-1], rel=rel)
+
+
+def test_condition_zero_start_is_the_random_start():
+    # a zero load gives x = 0; the estimate then starts as if given no vector,
+    # while another start moves the digits past the 1e-7 stop
+    A = _sine_matrix("p2nc_std", None, 3)
+    random = estimate_condition(A)
+    assert estimate_condition(A, np.zeros(A.shape[0])) == random
+    assert estimate_condition(A, np.ones(A.shape[0])) != random
 
 
 def test_interpolated_family_better_conditioned():
