@@ -137,6 +137,7 @@ def error_norms(a, *bs) -> tuple[float, ...]:
                 sq[i, 0, e, part] = (w @ ((va - vb) ** 2)[:, :, None])[:, 0, 0]
                 d = ga - gb
                 sq[i, 1, e, part] = (w @ (d[..., 0] ** 2 + d[..., 1] ** 2)[:, :, None])[:, 0, 0]
+        del shape_tables, vals, grads   # so the walk can drop its class block's tables
     # added in element order, as a loop over the elements adds them
     sums = np.cumsum(sq.reshape(2 * len(bs), -1), axis=1)[:, -1]
     return tuple(math.sqrt(abs(v)) for v in sums)

@@ -293,24 +293,12 @@ def assemble_system(space: Space, f) -> SparseSystem:
     """
     dm = space.dof_map
     S, L, c = _element_tables(space, f)
-    n_node = dm.n_node
     # The order of the entries of every global row and of the additions into
     # F fixes the rounding of A and F, and CG at the default tolerance is
     # sensitive to their last bits.
-    dofs = dm.dofs[:, :n_node]         # an interpolated slot is never free
-    free = dofs >= 0
-    # per free row: F[g] += L[m], then F[g] -= S[m, j] c[j] for each interpolated
-    # j, added in that order: bincount adds its weights in input order (and
-    # gives int64 when there are none); an intp index it does not copy
-    terms = np.concatenate(
-        [L[:, :n_node, None], -S[:, :, n_node:][space.shape] * c[:, None, :]], axis=2)
-    F = np.bincount(np.repeat(dofs[free].astype(np.intp), terms.shape[2]),
-                    weights=terms[free].ravel(), minlength=dm.n_free).astype(float, copy=False)
-    del L, terms
-    data, indices, indptr = _unsummed_csr(dm, space.shape, S)
-    del S
-    A = sp.csr_array((data, indices, indptr), shape=(dm.n_free, dm.n_free))
-    A.sum_duplicates()
+    F = _load_vector(dm, space.shape, S, L, c)
+    del L
+    A = sp.csr_array(_summed_csr(dm, space.shape, S), shape=(dm.n_free, dm.n_free))
     return SparseSystem(A=A, F=F, interp_coeffs=c)
 
 
@@ -354,6 +342,7 @@ def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray
             xy = load_rule.points @ verts[:, part]
             fv = f(xy[..., 0], xy[..., 1])
             L[e] += (av[part] @ (load_rule.weights * fv)[:, :, None])[..., 0]
+        del av          # so the walk can drop its class block's tables
     if space.family == "pk_interp":
         c = L[:, n_node:]                                 # (E, n_interp)
     elif n_node < nb:
@@ -363,44 +352,92 @@ def _element_tables(space: Space, f) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return S, L, c
 
 
-def _unsummed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A's CSR arrays (data, indices, indptr) before its duplicates are summed.
+def _load_vector(dm: DofMap, shape, S, L, c) -> np.ndarray:
+    """F over the free DOFs, added up one chunk of elements at a time.
 
-    Global row g holds, in element order, the free local rows (e, a) with
-    dofs[e, a] == g, each as its free columns S[shape[e], a, m] in local
-    order: the order in which a COO -> CSR conversion places the entries
-    (element, local row, local column).  Summing the duplicates sorts and
-    adds each row as that conversion does, so A keeps its bits.  The free
-    rows are node slots, the rows [:n_node] that S holds.  data is filled a
-    slice of rows at a time; a slice's rows of S and their free entries take
-    at most BLOCK_BYTES.
+    Per free node row (e, a), F[g] += L[e, a], then F[g] -= S[shape[e], a, j]
+    c[e, j] for each interpolated slot j, in that order and in element
+    order: np.add.at adds in input order, as one np.bincount over every
+    element would, and the chunks follow each other, so F keeps those bits.
+    A chunk's terms take at most BLOCK_BYTES.
+    """
+    n_node = dm.n_node
+    F = np.zeros(dm.n_free)
+    width = 1 + dm.dofs.shape[1] - n_node                 # L, then each c_j
+    step = max(1, BLOCK_BYTES // (8 * n_node * width))
+    for start in range(0, len(shape), step):
+        e = slice(start, start + step)
+        dofs = dm.dofs[e, :n_node]                        # an interpolated slot is never free
+        free = dofs >= 0
+        terms = np.concatenate(
+            [L[e, :n_node, None], -S[:, :, n_node:][shape[e]] * c[e, None, :]], axis=2)
+        np.add.at(F, np.repeat(dofs[free], width), terms[free].ravel())
+    return F
+
+
+def _summed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's CSR arrays (data, indices, indptr), summed and sorted, data and
+    indices of exactly A's nnz entries.
+
+    Global row g holds, before it is summed, the free local rows (e, a) with
+    dofs[e, a] == g in element order, each as its free columns S[shape[e],
+    a, m] in local order: the order in which a COO -> CSR conversion places
+    the entries (element, local row, local column).  scipy's sum_duplicates
+    then sorts and adds each row on its own, as that conversion does, so a
+    block of whole rows summed by itself keeps every row's bits.  data and
+    indices are allocated at A's nnz, which the boolean product of the
+    rows-by-elements and elements-by-columns incidence counts row by row, and
+    each block of rows, at most BLOCK_BYTES, is summed and copied into them,
+    so no array of every unsummed entry is made.  The free rows are node
+    slots, the rows [:n_node] that S holds.
     """
     n_node, nb = S.shape[1:]
-    free = dm.dofs >= 0
-    node_free = free[:, :n_node]
-    rows = np.flatnonzero(node_free)                      # e * n_node + a
+    node_free = dm.dofs[:, :n_node] >= 0
     g = dm.dofs[:, :n_node][node_free]
-    width = free.sum(axis=1)                              # free columns per row of e
-    counts = np.bincount(g, weights=width[rows // n_node],
-                         minlength=dm.n_free).astype(np.int64)
-    nnz = int(counts.sum())
+    # the free local rows e * n_node + a, sorted by global row in element order
+    local = np.flatnonzero(node_free).astype(np.int32)[np.argsort(g, kind="stable")]
+    first = np.zeros(dm.n_free + 1, dtype=np.int32)       # local rows of g: first[g]:first[g+1]
+    np.cumsum(np.bincount(g, minlength=dm.n_free), out=first[1:])
+    # an element has as many free columns as free rows, all of them node slots
+    width = np.count_nonzero(node_free, axis=1)
+    del node_free
+    # A's pattern, (rows x elements) @ (elements x columns), gives each row's
+    # number of distinct columns
+    E = len(width)
+    by_element = np.zeros(E + 1, dtype=np.int32)
+    np.cumsum(width, out=by_element[1:])
+    pattern = (sp.csr_array((np.ones(len(local), dtype=bool), local // n_node, first),
+                            shape=(dm.n_free, E))
+               @ sp.csr_array((np.ones(len(g), dtype=bool), g, by_element),
+                              shape=(E, dm.n_free)))
+    nnz = pattern.nnz
     # int32 DOFs give int32 indices and indptr wherever the entries fit
     index_dtype = sp.get_index_dtype(dm.dofs, maxval=max(nnz, dm.n_free))
-    indptr = np.zeros(dm.n_free + 1, dtype=index_dtype)
-    np.cumsum(counts, out=indptr[1:])
-    elements, src = np.divmod(rows[np.argsort(g, kind="stable")], n_node)
-    src += shape[elements] * n_node                       # row of (e, a) in S
-    del rows, g, counts
+    indptr = pattern.indptr.astype(index_dtype, copy=False)
+    del pattern, by_element
+    # row g's unsummed entries are unsummed[g]:unsummed[g+1]
+    unsummed = np.zeros(dm.n_free + 1, dtype=sp.get_index_dtype(maxval=int(width @ width)))
+    unsummed[1:] = np.cumsum(np.bincount(g, weights=np.repeat(width, width), minlength=dm.n_free))
+    del g, width
+    S = S.reshape(-1, nb)
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=index_dtype)
-    S = S.reshape(-1, nb)
-    step = max(1, BLOCK_BYTES // (2 * S[0].nbytes))
-    at = 0
-    for start in range(0, len(src), step):
-        cols = dm.dofs.take(elements[start:start + step], axis=0)
+    # per unsummed entry, a block's arrays (the gathered rows of the DOF
+    # table and of S, the entries and their indices) take about 25 bytes
+    entries = BLOCK_BYTES // 25
+    g0 = 0
+    while g0 < dm.n_free:
+        g1 = max(g0 + 1, int(np.searchsorted(unsummed, unsummed[g0] + entries, side="right")) - 1)
+        elements, a = np.divmod(local[first[g0]:first[g1]], n_node)
+        cols = dm.dofs.take(elements, axis=0)
         free_cols = cols >= 0
-        n = at + np.count_nonzero(free_cols)
-        data[at:n] = S.take(src[start:start + step], axis=0)[free_cols]
-        indices[at:n] = cols[free_cols]
-        at = n
+        # row (e, a) of the stiffness is row shape[e] * n_node + a of S
+        block = sp.csr_array((S.take(shape[elements] * n_node + a, axis=0)[free_cols],
+                              cols[free_cols], unsummed[g0:g1 + 1] - unsummed[g0]),
+                             shape=(g1 - g0, dm.n_free))
+        block.sum_duplicates()
+        at = slice(indptr[g0], indptr[g1])
+        data[at] = block.data
+        indices[at] = block.indices
+        g0 = g1
     return data, indices, indptr

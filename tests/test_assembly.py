@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_laplacian, per_element
+import igfem.analysis
 import igfem.assembly
 import igfem.elements
 from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
@@ -390,9 +391,18 @@ _CSR_CASES = [(family, k, level, perturb)
               for perturb in ((0.0,) if family == "p2c_interp" else (0.0, 0.2))]
 
 
-@pytest.mark.parametrize("family,k,level,perturb", _CSR_CASES, ids=[
-    f"{fam}-{k}-{level}" + (f"-perturb{p}" if p else "") for fam, k, level, p in _CSR_CASES])
-def test_csr_arrays_bit_identical_to_coo_conversion(family, k, level, perturb):
+_CSR_IDS = [f"{fam}-{k}-{level}" + (f"-perturb{p}" if p else "")
+            for fam, k, level, p in _CSR_CASES]
+
+
+def _owned_entries(a):
+    """The entries of the array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a.size
+
+
+def _check_csr_against_coo(family, k, level, perturb):
     # tocsr() places the COO entries row by row in their order and then sums
     # the duplicates; the CSR arrays laid out in that order and summed the
     # same way are A, bit for bit, with its index dtypes
@@ -405,6 +415,40 @@ def test_csr_arrays_bit_identical_to_coo_conversion(family, k, level, perturb):
     assert system.A.shape == A.shape
     assert system.A.has_canonical_format and A.has_canonical_format
     assert system.F.dtype == F.dtype and np.array_equal(system.F, F)
+    # A holds its nnz entries and no more, nothing of the unsummed rows
+    nnz = system.A.nnz
+    assert _owned_entries(system.A.data) == _owned_entries(system.A.indices) == nnz
+    return space
+
+
+@pytest.mark.parametrize("family,k,level,perturb", _CSR_CASES, ids=_CSR_IDS)
+def test_csr_arrays_bit_identical_to_coo_conversion(family, k, level, perturb):
+    _check_csr_against_coo(family, k, level, perturb)
+
+
+@pytest.mark.parametrize("family,k,level,perturb", _CSR_CASES, ids=_CSR_IDS)
+def test_csr_arrays_bit_identical_in_small_blocks(monkeypatch, family, k, level, perturb):
+    # 1 KiB blocks: A is summed a few global rows at a time and F added up a
+    # few elements at a time, and both keep the bits of one whole-level pass
+    monkeypatch.setattr(igfem.assembly, "BLOCK_BYTES", 1024)
+    summed = []
+    sum_duplicates = sp.csr_array.sum_duplicates
+
+    def counted(self):
+        summed.append(self.shape[0])
+        return sum_duplicates(self)
+
+    space = _check_csr_against_coo(family, k, level, perturb)
+    monkeypatch.setattr(sp.csr_array, "sum_duplicates", counted)
+    assemble_system(space, f=SINE.f)
+    dm = space.dof_map
+    # every row summed once, in blocks of a few rows
+    assert sum(summed) == dm.n_free
+    if dm.n_free > 50:
+        assert len(summed) > 10
+    if level == 3:      # F's chunks of 1 KiB of terms: two or more
+        width = dm.dofs.shape[1] - dm.n_node + 1
+        assert 1024 // (8 * dm.n_node * width) < space.n_elements
 
 
 _NODE_ROW_CASES = [(family, k, perturb)
@@ -454,19 +498,25 @@ def test_pk_node_interior_stiffness_at_rounding_level(k):
         assert np.all(block <= 1e-12 * np.abs(S).max(axis=(1, 2))), (level, perturb)
 
 
-@pytest.mark.parametrize("family,k,level,bound", [
-    ("pk_lagrange", 8, 4, 3.0), ("p3_interp", None, 6, 4.0),
-    ("pk_lagrange", 8, 3, 1.49), ("p3_interp", None, 5, 2.32),
-    ("pk_interp", 8, 4, 4.6)])
+_TRANSIENT_CASES = [("pk_lagrange", 8, 4, 1.17), ("p3_interp", None, 6, 1.36),
+                    ("pk_lagrange", 8, 3, 1.43), ("p3_interp", None, 5, 1.82),
+                    ("pk_interp", 8, 4, 3.70)]
+
+
+@pytest.mark.parametrize("family,k,level,bound", _TRANSIENT_CASES,
+                         ids=[f"{fam}-{k}-{level}" for fam, k, level, _ in _TRANSIENT_CASES])
 def test_assembly_transient_memory(family, k, level, bound):
-    # the peak holds A's unsummed int32 indices and float64 data, one slice
-    # of rows and one stiffness matrix per class, not per element.  The
-    # measured ratios are 1.20, 1.83, 1.42 and 2.20 (with the (E, nb, nb)
-    # table 1.92, 2.90, 2.14 and 3.31); the last two bounds are these plus 5%.
-    # pk_interp's classes are its elements: with the node rows only and one
-    # class block's tables alive at a time it measures 4.37 (with all nb rows
-    # and two class blocks 6.63), and its bound is that plus 5%
+    # the peak holds A's summed int32 indices and float64 data, one block of
+    # rows' unsummed entries and one stiffness matrix per class, not per
+    # element.  Each bound is the measured ratio plus 5%: 1.109, 1.289,
+    # 1.360, 1.729 and 3.524 (with all of A's unsummed entries alive 1.18,
+    # 1.82, 1.42, 2.20 and 4.34; with the (E, nb, nb) table 1.92, 2.90, 2.14
+    # and 3.31 for the first four).  pk_interp's classes are its elements:
+    # with all nb rows and two class blocks' tables alive it measured 6.63.
+    # A first assembly fills the rule tables, which are built once per
+    # process, so the test measures the same alone as after other tests.
     space = build_space(build_crisscross_mesh(level), family, k)
+    assemble_system(space, f=SINE.f)
     tracemalloc.start()
     try:
         A = assemble_system(space, f=SINE.f).A
@@ -591,6 +641,38 @@ def test_walk_drops_each_class_block_before_the_next():
     walked = [e for e, *_ in element_blocks(space, tabulate)]
     assert np.array_equal(np.concatenate(walked), np.arange(16))
     assert all(ref() is None for ref in earlier)
+
+
+def test_passes_drop_each_class_block_before_the_next(monkeypatch):
+    # the walk drops a class block's tables before it tabulates the next, and
+    # so must its consumers: when tabulate runs for pk_interp k=8 level 2's
+    # second class block, neither the assembly's load pass nor the error
+    # norms may hold a table of the first, as tabulated or as gathered
+    space = build_space(build_crisscross_mesh(2), "pk_interp", 8)
+    assert len(space.basis) == 16 and block_size(space.k, *space.basis.shape[1:3]) == 8
+    blocks = []     # per class block tabulated, weak references to its tables
+
+    def watched(space, tabulate):
+        def watched_tabulate(*rows):
+            assert all(ref() is None for refs in blocks for ref in refs), \
+                "a table of an earlier class block is alive"
+            tables = tabulate(*rows)
+            blocks.append([weakref.ref(t) for t in tables])
+            return tables
+
+        for item in element_blocks(space, watched_tabulate):
+            blocks[-1] += [weakref.ref(t) for t in item[3]]
+            yield item
+            del item
+
+    monkeypatch.setattr(igfem.assembly, "element_blocks", watched)
+    monkeypatch.setattr(igfem.analysis, "element_blocks", watched)
+    system = assemble_system(space, f=SINE.f)
+    assert len(blocks) == 2
+    blocks.clear()
+    u = FeFunction.from_dofs(space, np.zeros(space.dof_map.n_free), system.interp_coeffs)
+    error_norms(u, SINE)
+    assert len(blocks) == 2
 
 
 def _reversed_walk(space, tabulate):

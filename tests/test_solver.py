@@ -356,8 +356,8 @@ def test_condition_nonpositive_trailing_diagonal_not_converged():
 def test_csr_from_coo_sums_duplicates():
     # tocsr() sums repeated (row, col) pairs and sorts the indices; the
     # assembly tests keep it as the reference for A.  assemble_system lays
-    # out the unsummed CSR arrays itself and sums them with sum_duplicates(),
-    # and int32 indices stay int32.
+    # out the unsummed CSR rows itself and sums them with sum_duplicates(), a
+    # block of rows at a time, and int32 indices stay int32.
     for dtype in (np.int64, np.int32):
         rows, cols = np.array([0, 0, 1], dtype=dtype), np.array([1, 1, 0], dtype=dtype)
         A = sp.coo_array(([2.0, 3.0, 4.0], (rows, cols)), shape=(2, 2)).tocsr()
