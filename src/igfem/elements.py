@@ -272,8 +272,6 @@ def build_pk_basis(verts, k: int) -> np.ndarray:
     functions satisfy psi_j = -b p_j.  The element inverts the full
     functional (generalized Vandermonde) matrix on the Bernstein basis.
     """
-    if k < 4:
-        raise ValueError(f"moment element needs k >= 4, got {k}")
     pj = gram_schmidt_pj(verts, k)
     g, area = triangle_geometry(verts)
     alphas, n_moments = slot_layout("pk_interp", k)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poly import triangle_geometry
+
 __all__ = [
     "Mesh",
     "build_crisscross_mesh",
@@ -120,24 +122,16 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     tris = np.stack([macro_corners, np.roll(macro_corners, -1, axis=1),
                      np.repeat(macro_centers[:, None], 4, axis=1)], axis=2).reshape(-1, 3)
 
-    # orientation check (also guards perturbation flips)
-    v0, v1, v2 = (verts[tris[:, k]] for k in range(3))
-    signed = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - \
-             (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
-    if np.any(signed <= 0.0):
-        raise ValueError("perturbation produced a non-positive triangle area")
+    triangle_geometry(verts[tris])      # raises on a flipped or degenerate triangle
 
     # edges (a, b), (b, c), (c, a) of each triangle in turn, numbered by first
     # appearance; an interior edge appears twice, in its two triangles
     pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     codes = pairs[:, 0] * nv + pairs[:, 1]
-    _, first = np.unique(codes, return_index=True)
-    _, last = np.unique(codes[::-1], return_index=True)
-    last = len(codes) - 1 - last
+    _, first, count = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
-    first, last = first[order], last[order]
-    edges = pairs[first]
-    edge_boundary = last == first      # in one triangle only
+    edges = pairs[first[order]]
+    edge_boundary = count[order] == 1      # in one triangle only
 
     mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,
                 edges=edges, edge_boundary=edge_boundary,

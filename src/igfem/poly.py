@@ -58,11 +58,6 @@ def multi_indices(k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _index_of(k: int) -> dict:
-    return {alpha: i for i, alpha in enumerate(multi_indices(k))}
-
-
 def bernstein_values(k: int, bary: np.ndarray) -> np.ndarray:
     """All degree-k Bernstein basis values at barycentric points.
 
@@ -98,7 +93,7 @@ def _reduction_maps(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Used to form directional-derivative coefficient arrays: for a degree-k
     coefficient vector c, the degree-(k-1) array D_i[beta] = c[beta + e_i].
     """
-    idx = _index_of(k)
+    idx = {alpha: i for i, alpha in enumerate(multi_indices(k))}
     lower = multi_indices(k - 1)
     maps = []
     for i in range(3):
@@ -141,15 +136,6 @@ class QuadRule:
         return table
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _grundmann_moller(s: int) -> QuadRule:
     """Grundmann-Moller simplex rule of degree 2s+1 on the triangle."""
@@ -159,7 +145,7 @@ def _grundmann_moller(s: int) -> QuadRule:
         denom = d + 2 - 2 * i
         w = (-1.0) ** i * 2.0 ** (-2 * s) * denom ** d / (
             factorial(i) * factorial(d + 2 - i))
-        for beta in _compositions(s - i, 3):
+        for beta in multi_indices(s - i):
             pts.append([(2 * b + 1) / denom for b in beta])
             wts.append(w)
     pts = np.array(pts)

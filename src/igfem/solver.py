@@ -64,8 +64,6 @@ def cg_solve(A: sp.csr_array, F: np.ndarray, rel_tol: float = 1e-13,
     """
     n = A.shape[0]
     F = np.asarray(F, dtype=float)
-    if n == 0:
-        return np.zeros(0), SolveStats(0, 0.0)
     if max_iter is None:
         max_iter = max(20 * n, 50)
 

@@ -6,9 +6,12 @@ parent's, with one BLAS thread, and compares the output:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python tests/bits.py
 
-The cases cover every family, plain and perturbed (p2c_interp needs the
-unperturbed mesh), with the sine and poly4 problems.  Each hash covers, in
-this order:
+First one hash covers every quadrature rule, `make_quad_rule(d)` for d =
+0..MAX_QUAD_DEGREE, with its points, weights and exactness degree.  The
+cases cover every family, plain and perturbed (p2c_interp needs the
+unperturbed mesh), with the sine and poly4 problems.  Per case one hash
+covers the mesh's vertices, edges, edge_boundary, triangles and
+macro_corners, and then per problem one hash covers, in this order:
   - A's data, indices and indptr, each with its dtype;
   - F and `interp_coeffs`;
   - the Space's class tables (basis, grad_lambda, area, shape) and the
@@ -37,6 +40,7 @@ from igfem.analysis import FeFunction, error_norms, interpolate_exact
 from igfem.assembly import _element_tables, assemble_system, build_space
 from igfem.cli import PROBLEMS, ExperimentConfig, emit_report, run_experiment
 from igfem.mesh import build_crisscross_mesh
+from igfem.poly import MAX_QUAD_DEGREE, make_quad_rule
 from igfem.solver import cg_solve
 
 # (family, degree, level, perturb)
@@ -67,6 +71,26 @@ SWEEPS = (
 )
 
 
+def digest(arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes, in turn."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def quad_digest() -> str:
+    rules = [make_quad_rule(d) for d in range(MAX_QUAD_DEGREE + 1)]
+    return digest(a for r in rules for a in (r.points, r.weights, np.array([r.exactness_degree])))
+
+
+def mesh_digest(level, perturb) -> str:
+    m = build_crisscross_mesh(level, perturb)
+    return digest((m.vertices, m.edges, m.edge_boundary, m.triangles, m.macro_corners))
+
+
 def case_digest(family, k, level, perturb, problem) -> str:
     space = build_space(build_crisscross_mesh(level, perturb), family, k)
     system = assemble_system(space, problem.f)
@@ -75,15 +99,10 @@ def case_digest(family, k, level, perturb, problem) -> str:
     u_h = FeFunction.from_dofs(space, x, c)
     i_h = interpolate_exact(problem.u, problem.f, space, c)
     norms = np.array(error_norms(u_h, i_h, problem))
-    h = hashlib.sha256()
-    for a in (system.A.data, system.A.indices, system.A.indptr, system.F, c,
-              space.basis, space.grad_lambda, space.area, space.shape,
-              *_element_tables(space, problem.f), space.dof_map.dofs,
-              u_h.coeffs, i_h.coeffs, norms, np.array([stats.iterations])):
-        a = np.ascontiguousarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
+    return digest((system.A.data, system.A.indices, system.A.indptr, system.F, c,
+                   space.basis, space.grad_lambda, space.area, space.shape,
+                   *_element_tables(space, problem.f), space.dof_map.dofs,
+                   u_h.coeffs, i_h.coeffs, norms, np.array([stats.iterations])))
 
 
 def sweep_digest(kwargs) -> str:
@@ -98,11 +117,12 @@ def sweep_digest(kwargs) -> str:
 
 
 def main() -> int:
+    print(f"quad rules 0..{MAX_QUAD_DEGREE} {quad_digest()}")
     for family, k, level, perturb in CASES:
+        case = f"{family:<12s} k={k!s:<4s} L{level} perturb={perturb:<4}"
+        print(f"{case} mesh  {mesh_digest(level, perturb)}")
         for name in ("sine", "poly4"):
-            digest = case_digest(family, k, level, perturb, PROBLEMS[name])
-            print(f"{family:<12s} k={k!s:<4s} L{level} perturb={perturb:<4} "
-                  f"{name:<5s} {digest}")
+            print(f"{case} {name:<5s} {case_digest(family, k, level, perturb, PROBLEMS[name])}")
     for kwargs in SWEEPS:
         args = " ".join(f"{key}={value}" for key, value in kwargs.items())
         print(f"sweep {args} {sweep_digest(kwargs)}")

@@ -6,7 +6,8 @@ multi-indices in descending lexicographic order, i.e. (k,0,0), (k-1,1,0),
 (k-1,0,1), ..., (0,0,k).  Evaluation at barycentric points is independent
 of the triangle geometry; gradients and Laplacians use the (constant)
 barycentric gradients stored in TriGeom.  `per_element` reads one
-element's rows of a Space, which stores its bases per element class.
+element's rows of a Space, which stores its bases per element class,
+and the helpers below read one element's geometry and basis from it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from igfem.elements import block_gradients, block_values
 from igfem.poly import (_collocation_inverse, _reduction_maps, bernstein_values,
                         multi_indices, num_coeffs, triangle_geometry)
 
@@ -53,6 +55,9 @@ class TriGeom:
         for i in range(3):
             lam[i] = 1.0 / 3.0 + self.grad_lambda[i] @ (p - self.barycenter)
         return lam
+
+
+REF = TriGeom.from_vertices([(0, 0), (1, 0), (0, 1)])    # the reference triangle
 
 
 @dataclass
@@ -137,3 +142,30 @@ def per_element(space, name, eid=slice(None)):
     """Rows of the per-class Space array `name` (basis, grad_lambda or area)
     for element(s) eid, gathered by the class index `space.shape`."""
     return getattr(space, name)[space.shape[eid]]
+
+
+def element_geom(space, eid, part=0):
+    return TriGeom.from_vertices(space.vertices(eid)[part])
+
+
+def basis_values(space, eid, bary, part=0):
+    """Values (nb, P) of the basis of element eid on one part."""
+    return block_values(per_element(space, "basis", eid)[None, :, part], space.k, bary)[0]
+
+
+def basis_gradients(space, eid, bary, part=0):
+    """Gradients (nb, P, 2) of the basis of element eid on one part."""
+    return block_gradients(per_element(space, "basis", eid)[None, :, part], space.k,
+                           per_element(space, "grad_lambda", eid)[part][None], bary)[0]
+
+
+def random_geom(rng, scale=1.0):
+    while True:
+        v = rng.normal(size=(3, 2)) * scale
+        det = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - \
+              (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
+        if det < 0:
+            v[[1, 2]] = v[[2, 1]]
+            det = -det
+        if det > 0.1 * scale * scale:
+            return TriGeom.from_vertices(v)

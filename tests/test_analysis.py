@@ -3,12 +3,13 @@ import pytest
 
 import math
 
-from bpoly import TriGeom, domain_points, per_element
+from bpoly import (basis_gradients, basis_values, domain_points, element_geom,
+                   per_element)
 from igfem.analysis import (FeFunction, convergence_orders, error_norms,
                             interpolate_exact)
 from igfem.assembly import assemble_system, build_space, corner_ids, norm_rule_degree
 from igfem.cli import PROBLEMS
-from igfem.elements import block_gradients, block_values, laplacian_operator, slot_layout
+from igfem.elements import laplacian_operator, slot_layout
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
 from igfem.poly import make_quad_rule
 from igfem.solver import cg_solve
@@ -29,10 +30,6 @@ class Quadratic:
         return np.stack([2 * x + 2 * y + 1, 2 * x - 2 * y - 3], axis=-1)
 
 
-def element_geom(space, eid, part=0):
-    return TriGeom.from_vertices(space.vertices(eid)[part])
-
-
 def node_points(space, eid):
     """Points (n_node, 2) of element eid's node slots, (alpha / k) @ its corners."""
     alphas = slot_layout(space.family, space.k)[0]
@@ -40,23 +37,9 @@ def node_points(space, eid):
     return (np.array(alphas, dtype=float) / space.k) @ corners
 
 
-def basis_values(space, eid, bary, part=0):
-    """Values (nb, P) of the basis of element eid on one part."""
-    return block_values(per_element(space, "basis", eid)[None, :, part], space.k, bary)[0]
-
-
-def basis_gradients(space, eid, bary, part=0):
-    """Gradients (nb, P, 2) of the basis of element eid on one part."""
-    return block_gradients(per_element(space, "basis", eid)[None, :, part], space.k,
-                           per_element(space, "grad_lambda", eid)[part][None], bary)[0]
-
-
 def solve(space, problem, tol=1e-13):
     system = assemble_system(space, problem.f)
-    if space.dof_map.n_free:
-        x, _ = cg_solve(system.A, system.F, rel_tol=tol)
-    else:
-        x = np.zeros(0)
+    x, _ = cg_solve(system.A, system.F, rel_tol=tol)   # x is empty when no DOF is free
     return FeFunction.from_dofs(space, x, system.interp_coeffs)
 
 

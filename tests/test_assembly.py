@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bpoly import BPoly, TriGeom, bpoly_eval, bpoly_laplacian, per_element
+from bpoly import (BPoly, basis_gradients, basis_values, bpoly_eval, bpoly_laplacian,
+                   element_geom, per_element)
 import igfem.analysis
 import igfem.assembly
 import igfem.elements
@@ -14,8 +15,8 @@ from igfem.assembly import (BLOCK_BYTES, FAMILIES, assemble_system, block_size,
                             build_dof_map, build_space, element_blocks,
                             load_rule_degree, norm_rule_degree, resolve_degree,
                             stiffness_rule_degree)
-from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
-                            gram_schmidt_pj, laplacian_operator)
+from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, gram_schmidt_pj,
+                            laplacian_operator)
 from igfem.mesh import build_crisscross_mesh
 from igfem.poly import (MAX_QUAD_DEGREE, QuadRule, bernstein_values, make_quad_rule,
                         num_coeffs, triangle_geometry)
@@ -27,16 +28,9 @@ SINE = PROBLEMS["sine"]
 PATCH = PROBLEMS["poly4"]
 
 
-def element_geom(space, eid, part=0):
-    return TriGeom.from_vertices(space.vertices(eid)[part])
-
-
 def solve(space, problem, tol=1e-13):
     system = assemble_system(space, f=problem.f)
-    if space.dof_map.n_free:
-        x, stats = cg_solve(system.A, system.F, rel_tol=tol)
-    else:
-        x, stats = np.zeros(0), None
+    x, stats = cg_solve(system.A, system.F, rel_tol=tol)   # x is empty when no DOF is free
     return FeFunction.from_dofs(space, x, system.interp_coeffs), system, stats
 
 
@@ -267,17 +261,6 @@ def test_interior_test_function_orthogonality_on_patch():
             lhs = w @ np.sum(uh_grad * grads[slot], axis=1)
             rhs = w @ (fv * vals[slot])
             assert abs(lhs - rhs) <= 1e-9
-
-
-def basis_values(space, eid, bary, part=0):
-    """Values (nb, P) of the basis of element eid on one part."""
-    return block_values(per_element(space, "basis", eid)[None, :, part], space.k, bary)[0]
-
-
-def basis_gradients(space, eid, bary, part=0):
-    """Gradients (nb, P, 2) of the basis of element eid on one part."""
-    return block_gradients(per_element(space, "basis", eid)[None, :, part], space.k,
-                           per_element(space, "grad_lambda", eid)[part][None], bary)[0]
 
 
 def _element_interior_coefficients(space, eid, f, L) -> np.ndarray:

@@ -3,11 +3,11 @@ import pytest
 
 from math import factorial
 
-from bpoly import (BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
-                   bpoly_laplacian, domain_points, per_element)
+from bpoly import (REF, BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
+                   bpoly_laplacian, domain_points, per_element, random_geom)
 from igfem.assembly import (block_size, build_space, corner_ids, load_rule_degree,
                             norm_rule_degree, stiffness_rule_degree)
-from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
+from igfem.elements import (BARYCENTER, block_gradients, block_values,
                             boundary_multi_indices, build_fs_bubble,
                             build_lagrange_basis, build_p2c_macro_basis,
                             build_p2nc_element, build_p3_basis, build_pk_basis,
@@ -15,20 +15,6 @@ from igfem.elements import (BARYCENTER, BUBBLE, block_gradients, block_values,
 from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
 from igfem.poly import (bernstein_values, make_quad_rule, multi_indices, num_coeffs,
                         MAX_QUAD_DEGREE, _collocation_inverse, _reduction_maps)
-
-REF = TriGeom.from_vertices([(0, 0), (1, 0), (0, 1)])
-
-
-def random_geom(rng, scale=1.0):
-    while True:
-        v = rng.normal(size=(3, 2)) * scale
-        det = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - \
-              (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
-        if det < 0:
-            v[[1, 2]] = v[[2, 1]]
-            det = -det
-        if det > 0.1 * scale * scale:
-            return TriGeom.from_vertices(v)
 
 
 def perturbed_geoms(n=6):

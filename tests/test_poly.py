@@ -1,25 +1,11 @@
 import numpy as np
 import pytest
 
-from bpoly import (BPoly, TriGeom, bpoly_eval, bpoly_from_point_values, bpoly_grad,
-                   bpoly_laplacian, domain_points)
+from bpoly import (REF, BPoly, bpoly_eval, bpoly_from_point_values, bpoly_grad,
+                   bpoly_laplacian, domain_points, random_geom)
 from igfem.elements import block_gradients, laplacian_operator
 from igfem.poly import (bernstein_values, make_quad_rule, multi_indices, num_coeffs,
                         triangle_geometry)
-
-REF = TriGeom.from_vertices([(0, 0), (1, 0), (0, 1)])
-
-
-def random_geom(rng, scale=1.0):
-    while True:
-        v = rng.normal(size=(3, 2)) * scale
-        det = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - \
-              (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
-        if det < 0:
-            v[[1, 2]] = v[[2, 1]]
-            det = -det
-        if det > 0.1 * scale * scale:
-            return TriGeom.from_vertices(v)
 
 
 def random_bary(rng, n=1):

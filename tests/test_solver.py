@@ -1,5 +1,4 @@
 import functools
-import io
 import warnings
 
 import numpy as np
@@ -10,7 +9,8 @@ import igfem.solver
 from igfem.assembly import assemble_system, build_space
 from igfem.cli import PROBLEMS
 from igfem.mesh import build_crisscross_mesh
-from igfem.solver import SolverError, _lanczos_max, _top_ritz, cg_solve, estimate_condition
+from igfem.solver import (SolveStats, SolverError, _lanczos_max, _top_ritz, cg_solve,
+                          estimate_condition)
 
 
 def random_spd(rng, n, cond=100.0):
@@ -54,6 +54,7 @@ def test_zero_rhs_and_empty_system():
     empty = sp.csr_array((0, 0))
     x, stats = cg_solve(empty, np.zeros(0))
     assert x.shape == (0,)
+    assert stats == SolveStats(0, 0.0)
 
 
 def test_max_iter_failure_carries_stats():
