@@ -57,8 +57,8 @@ def resolve_degree(family: str, k: int | None = None) -> int:
         return fixed
     if k is None:
         raise ValueError(f"family {family} needs an explicit degree")
-    if k < least:
-        raise ValueError(f"{family} needs k >= {least}, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < least:
+        raise ValueError(f"{family} needs an integer degree k >= {least}, got {k!r}")
     if k > 8:
         raise ValueError(f"degree {k} exceeds the supported quadrature range (k <= 8)")
     return k
@@ -119,6 +119,10 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
 
     ents = corner_ids(mesh, family)
     t = np.arange(len(ents))
+    # side s joins corners s and s+1: edge 0 of macro part s for p2c
+    sides = mesh.triangle_edges
+    if family == "p2c_interp":
+        sides = sides.reshape(len(ents), 4, 3)[:, :, 0]
     alphas, n_interior = el.slot_layout(family, k)
     interior = sorted(a for a in multi_indices(k) if min(a) > 0)
     # per local slot that may hold an unknown: (key category, entity id,
@@ -131,9 +135,8 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
             columns.append((0, v, 0, mesh.vertex_boundary[v]))
         elif len(nz) == 2:
             i, j = nz
-            vi, vj = ents[:, i], ents[:, j]
-            e = mesh.edge_id(vi, vj)
-            columns.append((1, e, np.where(vi < vj, alpha[j], alpha[i]),
+            e = sides[:, i if j == i + 1 else j]
+            columns.append((1, e, np.where(ents[:, i] < ents[:, j], alpha[j], alpha[i]),
                             mesh.edge_boundary[e]))
         else:  # interior lattice node, ranked in lexicographic order
             columns.append((3, t, interior.index(alpha), False))

@@ -114,8 +114,8 @@ class ExperimentConfig:
         lv = list(self.levels)
         if lv != sorted(set(lv)):
             raise ValueError("levels must be strictly increasing")
-        if lv[0] < 1 or lv[-1] > MAX_LEVEL:
-            raise ValueError(f"levels must lie in 1..{MAX_LEVEL}, got {lv}")
+        if not all(isinstance(v, (int, np.integer)) and 1 <= v <= MAX_LEVEL for v in lv):
+            raise ValueError(f"levels must be integers in 1..{MAX_LEVEL}, got {lv}")
         if not (0 < self.tol < 1e-2):
             raise ValueError(f"tol must be in (0, 1e-2), got {self.tol}")
         if self.compare and self.baseline()[0] is None:
@@ -167,12 +167,17 @@ def _timed(timings: dict, phase: str):
         timings[phase] = time.perf_counter() - start
 
 
-def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
-                condition: bool, failures: list) -> list[dict]:
+def _families(config: ExperimentConfig) -> list[tuple[str, int]]:
+    """(family, degree) of the run, then of its baseline under --compare."""
+    return [(config.family, config.degree)] + [config.baseline()] * config.compare
+
+
+def _run_family(family: str, k: int, config: ExperimentConfig,
+                failures: list) -> list[dict]:
     rows = []
-    for level in levels:
+    for level in config.levels:
         # a level's mesh, space and system are gone before the next is built
-        row = _run_level(family, k, level, problem, tol, condition, failures)
+        row = _run_level(family, k, level, config, failures)
         if row is not None:
             rows.append(row)
     done = [r["level"] for r in rows]
@@ -182,9 +187,10 @@ def _run_family(family: str, k: int, levels, problem: Problem, tol: float,
     return rows
 
 
-def _run_level(family: str, k: int, level: int, problem: Problem, tol: float,
-               condition: bool, failures: list) -> dict | None:
+def _run_level(family: str, k: int, level: int, config: ExperimentConfig,
+               failures: list) -> dict | None:
     """One level's row, or None (and an entry in failures) if CG fails."""
+    problem = PROBLEMS[config.problem]
     timings: dict = {}
     with _timed(timings, "mesh"):
         mesh = build_crisscross_mesh(level)
@@ -195,14 +201,14 @@ def _run_level(family: str, k: int, level: int, problem: Problem, tol: float,
     dm = space.dof_map
     try:
         with _timed(timings, "cg"):
-            x, stats = cg_solve(system.A, system.F, rel_tol=tol)
+            x, stats = cg_solve(system.A, system.F, rel_tol=config.tol)
     except SolverError as err:
         failures.append((level, f"{family} level {level}: {err}"))
         logging.getLogger(__name__).warning(
             "solver failure: %s level %s: %s", family, level, err)
         return None
     est = None
-    if condition and dm.n_free:
+    if config.condition and dm.n_free:
         with _timed(timings, "condition"):
             est = estimate_condition(system.A, x)
     # the interpolant and the norms need only x and the interior coefficients
@@ -232,17 +238,11 @@ def _run_level(family: str, k: int, level: int, problem: Problem, tol: float,
 def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     """Run a level sweep (and optional baseline) per the configuration."""
     config.validate()
-    problem = PROBLEMS[config.problem]
     failures: list = []
-    rows = _run_family(config.family, config.degree, config.levels, problem,
-                       config.tol, config.condition, failures)
-    baseline_rows = None
-    if config.compare:
-        bfam, bk = config.baseline()
-        baseline_rows = _run_family(bfam, bk, config.levels, problem,
-                                    config.tol, config.condition, failures)
-    return ConvergenceReport(config=config, rows=rows,
-                             baseline_rows=baseline_rows, failures=failures)
+    rows = [_run_family(family, k, config, failures) for family, k in _families(config)]
+    return ConvergenceReport(config=config, rows=rows[0],
+                             baseline_rows=rows[1] if config.compare else None,
+                             failures=failures)
 
 
 def fixed_sci(v: float) -> str:
@@ -263,18 +263,12 @@ def _fmt_order(o) -> str:
     return f"{o:4.1f}" if o is not None else "  - "
 
 
-def _family_label(family: str, k: int) -> str:
-    _, _, _, label = FAMILIES[family]
-    return label.format(k=k)
-
-
 def _text_report(report: ConvergenceReport) -> str:
     cfg = report.config
     out = io.StringIO()
-    groups = [(_family_label(cfg.family, cfg.degree), report.rows)]
-    if report.baseline_rows is not None:
-        bfam, bk = cfg.baseline()
-        groups.append((_family_label(bfam, bk), report.baseline_rows))
+    groups = [(FAMILIES[family][3].format(k=k), {r["level"]: r for r in rows})
+              for (family, k), rows in zip(_families(cfg),
+                                           (report.rows, report.baseline_rows))]
     head = "grid  " + " | ".join(
         f"{label:^38s}" for label, _ in groups)
     sub = "      " + " | ".join(
@@ -282,14 +276,10 @@ def _text_report(report: ConvergenceReport) -> str:
     print(f"# problem={cfg.problem} family={cfg.family} k={cfg.degree}", file=out)
     print(head, file=out)
     print(sub, file=out)
-    by_level = {}
-    for label, rows in groups:
-        for r in rows:
-            by_level.setdefault(r["level"], {})[label] = r
     for level in cfg.levels:
         cells = []
-        for label, _ in groups:
-            r = by_level.get(level, {}).get(label)
+        for _, rows in groups:
+            r = rows.get(level)
             if r is None:
                 cell = "(solver failure)"
             else:
@@ -300,7 +290,7 @@ def _text_report(report: ConvergenceReport) -> str:
     if cfg.condition:
         print("# condition estimates (lambda_max / lambda_min_nonzero / cond):", file=out)
         for label, rows in groups:
-            for r in rows:
+            for r in rows.values():
                 if "cond_est" in r:
                     print(f"#   {label} level {r['level']}: "
                           f"{fixed_sci(r['lambda_max'])} / {fixed_sci(r['lambda_min'])}"
@@ -314,10 +304,8 @@ def _csv_report(report: ConvergenceReport) -> str:
     fields = ["family"] + list(_ROW_KEYS) + extra
     w = csv.DictWriter(out, fieldnames=fields, extrasaction="ignore", lineterminator="\n")
     w.writeheader()
-    groups = [(report.config.family, report.rows)]
-    if report.baseline_rows is not None:
-        groups.append((report.config.baseline()[0], report.baseline_rows))
-    for fam, rows in groups:
+    for (fam, _), rows in zip(_families(report.config),
+                              (report.rows, report.baseline_rows)):
         for r in rows:
             row = {"family": fam, **r}
             if "cond_est" in row:

@@ -43,6 +43,7 @@ class Mesh:
     edges: np.ndarray             # (E, 2) int, sorted vertex pairs
     edge_boundary: np.ndarray     # (E,) bool
     triangles: np.ndarray         # (T, 3) int, positively oriented
+    triangle_edges: np.ndarray    # (T, 3) int, edge s joins vertices s, s+1 mod 3
     macro_corners: np.ndarray     # (M, 4) int  (SW, SE, NE, NW)
     macro_centers: np.ndarray     # (M,) int
     perturbation: float = 0.0
@@ -59,24 +60,9 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def edge_id(self, v0, v1):
-        """Edge ids of the vertex pairs (v0[i], v1[i]), in either order.
-
-        Takes vertex ids or arrays of them; raises KeyError for a pair that
-        is not an edge.
-        """
-        nv = self.num_vertices
-        codes = self.edges[:, 0] * nv + self.edges[:, 1]
-        order = np.argsort(codes)
-        query = np.minimum(v0, v1) * nv + np.maximum(v0, v1)
-        ids = order[np.minimum(np.searchsorted(codes[order], query), len(order) - 1)]
-        if np.any(codes[ids] != query):
-            raise KeyError(f"not an edge of the mesh: ({v0}, {v1})")
-        return ids
-
     def _freeze(self) -> None:
         for a in (self.vertices, self.vertex_boundary, self.edges,
-                  self.edge_boundary, self.triangles,
+                  self.edge_boundary, self.triangles, self.triangle_edges,
                   self.macro_corners, self.macro_centers):
             a.setflags(write=False)
 
@@ -128,14 +114,17 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     # appearance; an interior edge appears twice, in its two triangles
     pairs = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     codes = pairs[:, 0] * nv + pairs[:, 1]
-    _, first, count = np.unique(codes, return_index=True, return_counts=True)
+    _, first, inverse, count = np.unique(codes, return_index=True,
+                                         return_inverse=True, return_counts=True)
     order = np.argsort(first)
     edges = pairs[first[order]]
     edge_boundary = count[order] == 1      # in one triangle only
+    triangle_edges = np.argsort(order)[inverse].reshape(-1, 3)
 
     mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,
                 edges=edges, edge_boundary=edge_boundary,
-                triangles=tris, macro_corners=macro_corners,
+                triangles=tris, triangle_edges=triangle_edges,
+                macro_corners=macro_corners,
                 macro_centers=macro_centers,
                 perturbation=perturb)
     mesh._freeze()

@@ -48,6 +48,11 @@ def test_resolve_degree_validation():
         resolve_degree("nope", 2)
     with pytest.raises(ValueError):
         resolve_degree("pk_interp")
+    with pytest.raises(ValueError, match="integer degree"):
+        resolve_degree("pk_interp", 4.0)
+    with pytest.raises(ValueError, match="integer degree"):
+        resolve_degree("pk_lagrange", 2.5)
+    assert resolve_degree("pk_lagrange", np.int64(3)) == 3
 
 
 def test_dof_counts_level2_p2c():

@@ -126,6 +126,11 @@ def test_config_validation():
         ExperimentConfig(family="p2c_interp", levels=(1,), problem="bogus").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(family="p2nc_std", levels=(1,), compare=True).validate()
+    # a float level or degree fails here, not deep inside the run
+    with pytest.raises(ValueError, match="levels must be integers"):
+        ExperimentConfig(family="p3_interp", levels=(2.0, 3.0)).validate()
+    with pytest.raises(ValueError, match="integer degree"):
+        ExperimentConfig(family="pk_interp", degree=4.0, levels=(1,)).validate()
     with pytest.raises(ValueError):
         emit_report(ConvergenceReport(config=cfg), "xml")
 

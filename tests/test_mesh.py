@@ -56,14 +56,20 @@ def test_topology_invariants(level):
         assert sum(1 for vid in tri if int(vid) in centers) == 1
 
 
-def test_edge_id_inverts_edge_table():
-    m = build_crisscross_mesh(3)
-    ids = np.arange(m.num_edges)
-    assert np.array_equal(m.edge_id(m.edges[:, 0], m.edges[:, 1]), ids)
-    assert np.array_equal(m.edge_id(m.edges[:, 1], m.edges[:, 0]), ids)
-    assert m.edge_id(*m.edges[7][::-1]) == 7
-    with pytest.raises(KeyError):
-        m.edge_id(0, m.num_vertices - 1)   # a corner and a far center
+def _sorted_sides(ids):
+    """The sorted vertex pairs (ids[:, s], ids[:, s+1 mod n]) of every row."""
+    return np.sort(np.stack([ids, np.roll(ids, -1, axis=1)], axis=2), axis=2)
+
+
+def test_triangle_edges_join_their_sides():
+    for level in (1, 3):
+        m = build_crisscross_mesh(level)
+        # edge s of triangle t joins its vertices s and s+1 mod 3
+        assert np.array_equal(m.edges[m.triangle_edges], _sorted_sides(m.triangles))
+        # edge 0 of macro part s joins corners s and s+1 mod 4: the sides of a
+        # p2c element, as build_dof_map reads them
+        macro_sides = m.triangle_edges.reshape(-1, 4, 3)[:, :, 0]
+        assert np.array_equal(m.edges[macro_sides], _sorted_sides(m.macro_corners))
 
 
 def _loop_mesh_arrays(level, perturb):
@@ -104,8 +110,9 @@ def _loop_mesh_arrays(level, perturb):
                 tris.append((a, b, c))
     tris = np.array(tris, dtype=int)
     edge_index, edge_list, edge_tris = {}, [], []
+    triangle_edges = np.zeros_like(tris)
     for t, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
+        for s, (u, v) in enumerate(((a, b), (b, c), (c, a))):
             key = (u, v) if u < v else (v, u)
             e = edge_index.get(key)
             if e is None:
@@ -115,10 +122,12 @@ def _loop_mesh_arrays(level, perturb):
                 edge_tris.append([t, -1])
             else:
                 edge_tris[e][1] = t
+            triangle_edges[t, s] = e
     edge_tris = np.array(edge_tris, dtype=int)
     return {"vertices": verts, "vertex_boundary": vbnd,
             "edges": np.array(edge_list, dtype=int),
             "edge_boundary": edge_tris[:, 1] < 0, "triangles": tris,
+            "triangle_edges": triangle_edges,
             "macro_corners": macro_corners, "macro_centers": macro_centers}
 
 
@@ -239,3 +248,5 @@ def test_mesh_immutable():
     m = build_crisscross_mesh(2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 3.0
+    with pytest.raises(ValueError):
+        m.triangle_edges[0, 0] = 3
