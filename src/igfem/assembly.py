@@ -57,7 +57,7 @@ def resolve_degree(family: str, k: int | None = None) -> int:
         return fixed
     if k is None:
         raise ValueError(f"family {family} needs an explicit degree")
-    if not isinstance(k, (int, np.integer)) or k < least:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < least:
         raise ValueError(f"{family} needs an integer degree k >= {least}, got {k!r}")
     if k > 8:
         raise ValueError(f"degree {k} exceeds the supported quadrature range (k <= 8)")
@@ -387,12 +387,13 @@ def _summed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarra
     a, m] in local order: the order in which a COO -> CSR conversion places
     the entries (element, local row, local column).  scipy's sum_duplicates
     then sorts and adds each row on its own, as that conversion does, so a
-    block of whole rows summed by itself keeps every row's bits.  data and
-    indices are allocated at A's nnz, which the boolean product of the
-    rows-by-elements and elements-by-columns incidence counts row by row, and
-    each block of rows, at most BLOCK_BYTES, is summed and copied into them,
-    so no array of every unsummed entry is made.  The free rows are node
-    slots, the rows [:n_node] that S holds.
+    block of whole rows summed by itself keeps every row's bits.  The
+    boolean product of the rows-by-elements and elements-by-columns incidence
+    holds each row's distinct columns, unsorted, so A takes its indptr and
+    indices, and data is allocated at its nnz.  Each block of rows, at most
+    BLOCK_BYTES, is summed and copied into data and over its span of the
+    indices, so no array of every unsummed entry is made.  The free rows are
+    node slots, the rows [:n_node] that S holds.
     """
     n_node, nb = S.shape[1:]
     node_free = dm.dofs[:, :n_node] >= 0
@@ -404,8 +405,7 @@ def _summed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # an element has as many free columns as free rows, all of them node slots
     width = np.count_nonzero(node_free, axis=1)
     del node_free
-    # A's pattern, (rows x elements) @ (elements x columns), gives each row's
-    # number of distinct columns
+    # A's pattern, (rows x elements) @ (elements x columns)
     E = len(width)
     by_element = np.zeros(E + 1, dtype=np.int32)
     np.cumsum(width, out=by_element[1:])
@@ -413,18 +413,13 @@ def _summed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarra
                             shape=(dm.n_free, E))
                @ sp.csr_array((np.ones(len(g), dtype=bool), g, by_element),
                               shape=(E, dm.n_free)))
-    nnz = pattern.nnz
-    # int32 DOFs give int32 indices and indptr wherever the entries fit
-    index_dtype = sp.get_index_dtype(dm.dofs, maxval=max(nnz, dm.n_free))
-    indptr = pattern.indptr.astype(index_dtype, copy=False)
+    indptr, indices = pattern.indptr, pattern.indices
     del pattern, by_element
     # row g's unsummed entries are unsummed[g]:unsummed[g+1]
     unsummed = np.zeros(dm.n_free + 1, dtype=sp.get_index_dtype(maxval=int(width @ width)))
     unsummed[1:] = np.cumsum(np.bincount(g, weights=np.repeat(width, width), minlength=dm.n_free))
     del g, width
-    S = S.reshape(-1, nb)
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(len(indices))
     # per unsummed entry, a block's arrays (the gathered rows of the DOF
     # table and of S, the entries and their indices) take about 25 bytes
     entries = BLOCK_BYTES // 25
@@ -434,9 +429,9 @@ def _summed_csr(dm: DofMap, shape, S) -> tuple[np.ndarray, np.ndarray, np.ndarra
         elements, a = np.divmod(local[first[g0]:first[g1]], n_node)
         cols = dm.dofs.take(elements, axis=0)
         free_cols = cols >= 0
-        # row (e, a) of the stiffness is row shape[e] * n_node + a of S
-        block = sp.csr_array((S.take(shape[elements] * n_node + a, axis=0)[free_cols],
-                              cols[free_cols], unsummed[g0:g1 + 1] - unsummed[g0]),
+        # row (e, a) of the stiffness is row shape[e] * n_node + a of S, one row per node slot
+        block = sp.csr_array((S.reshape(-1, nb).take(shape[elements] * n_node + a, axis=0)
+                              [free_cols], cols[free_cols], unsummed[g0:g1 + 1] - unsummed[g0]),
                              shape=(g1 - g0, dm.n_free))
         block.sum_duplicates()
         at = slice(indptr[g0], indptr[g1])

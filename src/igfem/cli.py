@@ -96,6 +96,8 @@ PROBLEMS = {
 
 @dataclass
 class ExperimentConfig:
+    """One sweep's settings, checked, and the degree resolved, when it is made."""
+
     family: str
     degree: int | None = None
     levels: tuple = (2, 3, 4)
@@ -104,7 +106,7 @@ class ExperimentConfig:
     compare: bool = False
     condition: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.degree = resolve_degree(self.family, self.degree)
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; "
@@ -114,7 +116,8 @@ class ExperimentConfig:
         lv = list(self.levels)
         if lv != sorted(set(lv)):
             raise ValueError("levels must be strictly increasing")
-        if not all(isinstance(v, (int, np.integer)) and 1 <= v <= MAX_LEVEL for v in lv):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   and 1 <= v <= MAX_LEVEL for v in lv):
             raise ValueError(f"levels must be integers in 1..{MAX_LEVEL}, got {lv}")
         if not (0 < self.tol < 1e-2):
             raise ValueError(f"tol must be in (0, 1e-2), got {self.tol}")
@@ -123,7 +126,7 @@ class ExperimentConfig:
 
     def baseline(self) -> tuple[str | None, int]:
         _, _, baseline, _ = FAMILIES[self.family]
-        return baseline, self.degree     # as validate() resolved it
+        return baseline, self.degree
 
 
 _ROW_KEYS = ("level", "h", "free_dofs", "interp_dofs", "l2_ih", "h1_ih",
@@ -149,9 +152,12 @@ class ConvergenceReport:
     env: dict = field(default_factory=_environment)    # where the numbers were made
 
     def to_dict(self) -> dict:
-        out = {"config": asdict(self.config), "env": self.env, "rows": self.rows}
+        def json_rows(rows):    # RFC 8259 JSON has no NaN or Infinity: such a float is null
+            return [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for key, v in row.items()} for row in rows]
+        out = {"config": asdict(self.config), "env": self.env, "rows": json_rows(self.rows)}
         if self.baseline_rows is not None:
-            out["baseline_rows"] = self.baseline_rows
+            out["baseline_rows"] = json_rows(self.baseline_rows)
         if self.failures:
             out["failures"] = [list(fl) for fl in self.failures]
         return out
@@ -237,7 +243,6 @@ def _run_level(family: str, k: int, level: int, config: ExperimentConfig,
 
 def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     """Run a level sweep (and optional baseline) per the configuration."""
-    config.validate()
     failures: list = []
     rows = [_run_family(family, k, config, failures) for family, k in _families(config)]
     return ConvergenceReport(config=config, rows=rows[0],
@@ -365,7 +370,6 @@ def main(argv=None) -> int:
             family=args.family, degree=args.degree, levels=levels,
             problem=args.problem, tol=args.tol, compare=args.compare,
             condition=args.condition)
-        config.validate()
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,7 +35,6 @@ class Mesh:
     (bottom, right, top, left); every triangle lists its center vertex last.
     """
 
-    level: int
     n: int
     h: float
     vertices: np.ndarray          # (V, 2) float
@@ -60,7 +59,7 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def _freeze(self) -> None:
+    def __post_init__(self) -> None:
         for a in (self.vertices, self.vertex_boundary, self.edges,
                   self.edge_boundary, self.triangles, self.triangle_edges,
                   self.macro_corners, self.macro_centers):
@@ -121,14 +120,11 @@ def build_crisscross_mesh(level: int, perturb: float = 0.0) -> Mesh:
     edge_boundary = count[order] == 1      # in one triangle only
     triangle_edges = np.argsort(order)[inverse].reshape(-1, 3)
 
-    mesh = Mesh(level=level, n=n, h=h, vertices=verts, vertex_boundary=vbnd,
+    return Mesh(n=n, h=h, vertices=verts, vertex_boundary=vbnd,
                 edges=edges, edge_boundary=edge_boundary,
                 triangles=tris, triangle_edges=triangle_edges,
-                macro_corners=macro_corners,
-                macro_centers=macro_centers,
+                macro_corners=macro_corners, macro_centers=macro_centers,
                 perturbation=perturb)
-    mesh._freeze()
-    return mesh
 
 
 def triangle_gauss_points(verts: np.ndarray) -> np.ndarray:

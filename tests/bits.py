@@ -10,8 +10,9 @@ First one hash covers every quadrature rule, `make_quad_rule(d)` for d =
 0..MAX_QUAD_DEGREE, with its points, weights and exactness degree.  The
 cases cover every family, plain and perturbed (p2c_interp needs the
 unperturbed mesh), with the sine and poly4 problems.  Per case one hash
-covers the mesh's vertices, edges, edge_boundary, triangles and
-macro_corners, and then per problem one hash covers, in this order:
+covers every array of the mesh (vertices, vertex_boundary, edges,
+edge_boundary, triangles, triangle_edges, macro_corners and macro_centers),
+and then per problem one hash covers, in this order:
   - A's data, indices and indptr, each with its dtype;
   - F and `interp_coeffs`;
   - the Space's class tables (basis, grad_lambda, area, shape) and the
@@ -88,7 +89,8 @@ def quad_digest() -> str:
 
 def mesh_digest(level, perturb) -> str:
     m = build_crisscross_mesh(level, perturb)
-    return digest((m.vertices, m.edges, m.edge_boundary, m.triangles, m.macro_corners))
+    return digest((m.vertices, m.vertex_boundary, m.edges, m.edge_boundary, m.triangles,
+                   m.triangle_edges, m.macro_corners, m.macro_centers))
 
 
 def case_digest(family, k, level, perturb, problem) -> str:

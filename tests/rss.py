@@ -55,7 +55,7 @@ def main(argv: list[str]) -> int:
     cli._timed = timed_and_measured
     report("imports", None)
     failures: list = []
-    row = cli._run_level(family, k, level, cli.ExperimentConfig(family), failures)
+    row = cli._run_level(family, k, level, cli.ExperimentConfig(family, k), failures)
     if row is None:
         print(failures[0][1], file=sys.stderr)
         return 1

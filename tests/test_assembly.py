@@ -52,6 +52,10 @@ def test_resolve_degree_validation():
         resolve_degree("pk_interp", 4.0)
     with pytest.raises(ValueError, match="integer degree"):
         resolve_degree("pk_lagrange", 2.5)
+    with pytest.raises(ValueError, match="integer degree"):
+        resolve_degree("pk_lagrange", True)
+    with pytest.raises(ValueError):
+        resolve_degree("p2c_interp", True)
     assert resolve_degree("pk_lagrange", np.int64(3)) == 3
 
 

@@ -46,14 +46,19 @@ def test_fixed_sci(value, expected):
 
 def test_text_report_with_unconverged_estimate():
     cfg = ExperimentConfig(family="p2nc_interp", levels=(2,), condition=True)
-    cfg.validate()
     row = {"level": 2, "h": 0.5, "free_dofs": 9, "interp_dofs": 16,
            "l2_ih": 1e-3, "h1_ih": 1e-2, "l2_true": 1e-3, "h1_true": 1e-2,
            "order_l2": None, "order_h1": None, "cg_iters": 5,
            "cond_est": float("nan"), "lambda_max": 2.5, "lambda_min": float("nan"),
            "cond_converged": False}
-    text = emit_report(ConvergenceReport(config=cfg, rows=[row]), "text")
+    report = ConvergenceReport(config=cfg, rows=[row])
+    text = emit_report(report, "text")
     assert "level 2: 0.250E+01 /       NaN /       NaN" in text
+    # RFC 8259 JSON has no NaN token: the unconverged estimate is null
+    payload = json.loads(emit_report(report, "json"),
+                         parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+    assert payload["rows"][0]["cond_est"] is None and payload["rows"][0]["lambda_min"] is None
+    assert payload["rows"][0]["lambda_max"] == 2.5
 
 
 @pytest.mark.parametrize("cond,expected", [
@@ -63,14 +68,14 @@ def test_csv_writes_cond_est_to_its_seven_settled_digits(cond, expected):
     # the estimate stops when lambda_min changes by at most 1e-7 relative, so
     # digits past the seventh are noise; JSON keeps the full repr
     cfg = ExperimentConfig(family="p2nc_interp", levels=(2,), condition=True)
-    cfg.validate()
     row = {"level": 2, "h": 0.5, "free_dofs": 9, "interp_dofs": 16,
            "l2_ih": 1e-3, "h1_ih": 1e-2, "l2_true": 1e-3, "h1_true": 1e-2,
            "order_l2": None, "order_h1": None, "cg_iters": 5, "cond_est": cond}
     report = ConvergenceReport(config=cfg, rows=[row])
     assert emit_report(report, "csv").splitlines()[1].endswith(f",5,{expected}")
-    if math.isfinite(cond):
-        assert f'"cond_est": {cond!r}' in emit_report(report, "json")
+    # a non-finite estimate is null in JSON, which has no NaN or Infinity token
+    want = f'"cond_est": {cond!r}' if math.isfinite(cond) else '"cond_est": null'
+    assert want in emit_report(report, "json")
 
 
 def test_fixed_sci_round_trip_magnitude():
@@ -112,25 +117,31 @@ def test_parse_levels():
 
 def test_config_validation():
     cfg = ExperimentConfig(family="p2c_interp", levels=(1, 2))
-    cfg.validate()
     assert cfg.degree == 2
     with pytest.raises(ValueError):
-        ExperimentConfig(family="p2c_interp", levels=()).validate()
+        ExperimentConfig(family="p2c_interp", levels=())
     with pytest.raises(ValueError):
-        ExperimentConfig(family="p2c_interp", levels=(3, 2)).validate()
+        ExperimentConfig(family="p2c_interp", levels=(3, 2))
     with pytest.raises(ValueError):
-        ExperimentConfig(family="p2c_interp", levels=(1, 10)).validate()
+        ExperimentConfig(family="p2c_interp", levels=(1, 10))
     with pytest.raises(ValueError):
-        ExperimentConfig(family="pk_interp", degree=3, levels=(1,)).validate()
+        ExperimentConfig(family="pk_interp", degree=3, levels=(1,))
     with pytest.raises(ValueError):
-        ExperimentConfig(family="p2c_interp", levels=(1,), problem="bogus").validate()
+        ExperimentConfig(family="p2c_interp", levels=(1,), problem="bogus")
     with pytest.raises(ValueError):
-        ExperimentConfig(family="p2nc_std", levels=(1,), compare=True).validate()
-    # a float level or degree fails here, not deep inside the run
+        ExperimentConfig(family="p2nc_std", levels=(1,), compare=True)
+    with pytest.raises(ValueError, match="needs an explicit degree"):
+        ExperimentConfig(family="pk_lagrange", levels=(1,))
+    # a float or boolean level or degree fails here, not deep inside the run
     with pytest.raises(ValueError, match="levels must be integers"):
-        ExperimentConfig(family="p3_interp", levels=(2.0, 3.0)).validate()
+        ExperimentConfig(family="p3_interp", levels=(2.0, 3.0))
+    with pytest.raises(ValueError, match="levels must be integers"):
+        ExperimentConfig(family="p3_interp", levels=(True, 2))
     with pytest.raises(ValueError, match="integer degree"):
-        ExperimentConfig(family="pk_interp", degree=4.0, levels=(1,)).validate()
+        ExperimentConfig(family="pk_interp", degree=4.0, levels=(1,))
+    with pytest.raises(ValueError, match="integer degree"):
+        ExperimentConfig(family="pk_lagrange", degree=True, levels=(1,))
+    assert ExperimentConfig(family="p3_interp", levels=(np.int64(2), np.int64(3))).degree == 3
     with pytest.raises(ValueError):
         emit_report(ConvergenceReport(config=cfg), "xml")
 
@@ -186,7 +197,6 @@ def test_text_report_shape(small_report):
 
 def test_empty_rows_report_is_valid():
     cfg = ExperimentConfig(family="p3_interp", levels=(1,))
-    cfg.validate()
     rep = ConvergenceReport(config=cfg, rows=[])
     for fmt in ("text", "csv", "json"):
         payload = emit_report(rep, fmt)
@@ -211,13 +221,12 @@ def test_families_table_gives_label_baseline_and_interior_slots(family):
     assert label.format(k=k) == want
     assert (baseline is None) == (want_baseline is None)
     # --compare is accepted exactly when the family has a baseline
-    cfg = ExperimentConfig(family=family, degree=None if fixed else k, levels=(1,),
-                           compare=True)
+    degree = None if fixed else k
     if baseline is None:
         with pytest.raises(ValueError, match="no matching baseline"):
-            cfg.validate()
-        cfg.compare = False
-    cfg.validate()
+            ExperimentConfig(family=family, degree=degree, levels=(1,), compare=True)
+    cfg = ExperimentConfig(family=family, degree=degree, levels=(1,),
+                           compare=baseline is not None)
     # the text header names the family, and its baseline side by side
     rep = ConvergenceReport(config=cfg, rows=[],
                             baseline_rows=None if baseline is None else [])

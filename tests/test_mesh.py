@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -250,3 +251,5 @@ def test_mesh_immutable():
         m.vertices[0, 0] = 3.0
     with pytest.raises(ValueError):
         m.triangle_edges[0, 0] = 3
+    # a Mesh is frozen when it is made, not by its builder
+    assert not dataclasses.replace(m, vertices=m.vertices.copy()).vertices.flags.writeable
