@@ -61,7 +61,7 @@ def resolve_degree(family: str, k: int | None = None) -> int:
         raise ValueError(f"{family} needs an integer degree k >= {least}, got {k!r}")
     if k > 8:
         raise ValueError(f"degree {k} exceeds the supported quadrature range (k <= 8)")
-    return k
+    return int(k)
 
 
 def stiffness_rule_degree(k: int) -> int:
@@ -146,7 +146,7 @@ def build_dof_map(mesh: Mesh, family: str, k: int | None = None) -> DofMap:
     n_node, nb = len(columns), len(alphas) + n_interior
 
     # one integer per entity key, ordered as the keys are
-    stride = max(mesh.num_vertices, mesh.num_edges, mesh.num_triangles, nb) + 1
+    stride = max(len(mesh.vertices), len(mesh.edges), len(mesh.triangles), nb) + 1
     code = np.zeros((len(ents), n_node), dtype=np.int64)
     boundary = np.zeros((len(ents), n_node), dtype=bool)
     for m, (category, entity, position, bnd) in enumerate(columns):

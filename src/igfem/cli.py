@@ -94,9 +94,10 @@ PROBLEMS = {
     "poly4": Problem(_poly4_u, _poly4_u_grad, _poly4_f),
 }
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep's settings, checked, and the degree resolved, when it is made."""
+    """One sweep's settings, checked, and the degree resolved, when it is made;
+    frozen, with plain-int levels and degree (`dataclasses.replace` re-checks)."""
 
     family: str
     degree: int | None = None
@@ -107,7 +108,7 @@ class ExperimentConfig:
     condition: bool = False
 
     def __post_init__(self) -> None:
-        self.degree = resolve_degree(self.family, self.degree)
+        object.__setattr__(self, "degree", resolve_degree(self.family, self.degree))
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}; "
                              f"registry has {sorted(PROBLEMS)}")
@@ -119,6 +120,7 @@ class ExperimentConfig:
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                    and 1 <= v <= MAX_LEVEL for v in lv):
             raise ValueError(f"levels must be integers in 1..{MAX_LEVEL}, got {lv}")
+        object.__setattr__(self, "levels", tuple(int(v) for v in lv))
         if not (0 < self.tol < 1e-2):
             raise ValueError(f"tol must be in (0, 1e-2), got {self.tol}")
         if self.compare and self.baseline()[0] is None:

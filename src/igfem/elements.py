@@ -146,16 +146,11 @@ def laplacian_operator(k: int, grad_lambda) -> np.ndarray:
     return _laplacian(np.eye(num_coeffs(k)), k, grad_lambda)
 
 
-def _lagrange_rows(k: int) -> np.ndarray:
-    """Rows i = Bernstein coefficients of the i-th nodal Lagrange function."""
-    return _collocation_inverse(k).T
-
-
 def build_lagrange_basis(verts, k: int) -> np.ndarray:
     """Full nodal Lagrange bases (E, nb, 1, nc) on the uniform degree-k lattice."""
     if k < 1:
         raise ValueError(f"lagrange degree must be >= 1, got {k}")
-    return np.repeat(_lagrange_rows(k)[None, :, None, :], len(verts), axis=0)
+    return np.repeat(_collocation_inverse(k).T[None, :, None, :], len(verts), axis=0)
 
 
 def build_fs_bubble(verts) -> np.ndarray:
@@ -182,7 +177,7 @@ def build_p2nc_element(verts, standard: bool = False) -> np.ndarray:
     """
     phi0 = build_fs_bubble(verts)
     basis = np.empty((len(verts), 7, 1, 6))
-    basis[:, :6, 0] = _lagrange_rows(2)
+    basis[:, :6, 0] = _collocation_inverse(2).T
     basis[:, 6, 0] = phi0
     if not standard:
         lap_op = laplacian_operator(2, triangle_geometry(verts)[0])     # (E, 1, 6)
@@ -204,10 +199,10 @@ def build_p3_basis(verts) -> np.ndarray:
     bary1 = bernstein_values(1, BARYCENTER)                         # (1, 3)
     lap_b = _laplacian(BUBBLE[:, None], 3, g)                       # (E, 3, 1)
     phi0 = BUBBLE / -(bary1 @ lap_b)[:, 0]                          # (E, 10)
-    lap_at_x0 = bary1[0] @ (laplacian_operator(3, g) @ _lagrange_rows(3).T)
+    lap_at_x0 = bary1[0] @ (laplacian_operator(3, g) @ _collocation_inverse(3))
     nodes = [multi_indices(3).index(a) for a in boundary_multi_indices(3)]
     basis = np.empty((len(verts), 10, 1, 10))
-    basis[:, :9, 0] = _lagrange_rows(3)[nodes] + lap_at_x0[:, nodes, None] * phi0[:, None]
+    basis[:, :9, 0] = _collocation_inverse(3).T[nodes] + lap_at_x0[:, nodes, None] * phi0[:, None]
     basis[:, 9, 0] = phi0
     return basis
 

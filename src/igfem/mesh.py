@@ -47,18 +47,6 @@ class Mesh:
     macro_centers: np.ndarray     # (M,) int
     perturbation: float = 0.0
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def num_triangles(self) -> int:
-        return len(self.triangles)
-
     def __post_init__(self) -> None:
         for a in (self.vertices, self.vertex_boundary, self.edges,
                   self.edge_boundary, self.triangles, self.triangle_edges,

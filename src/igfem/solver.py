@@ -217,8 +217,7 @@ def _inverse(A: sp.csr_array):
     n = A.shape[0]
     m = _trailing_diagonal(A)
     if n - m <= 1:
-        return lambda v, rel_tol: cg_solve(A, v, rel_tol=rel_tol,
-                                           max_iter=max(30 * n, 300))[0]
+        return lambda v, rel_tol: cg_solve(A, v, rel_tol=rel_tol)[0]
     d = A.diagonal()[m:]
     if not (d > 0.0).all():
         return None
@@ -229,8 +228,7 @@ def _inverse(A: sp.csr_array):
 
     def solve(v, rel_tol):
         v_b = v[m:] / d
-        y_n, _ = cg_solve(S, v[:m] - C.T @ v_b, rel_tol=rel_tol,
-                          max_iter=max(30 * m, 300))
+        y_n, _ = cg_solve(S, v[:m] - C.T @ v_b, rel_tol=rel_tol)
         return np.concatenate([y_n, v_b - (C @ y_n) / d])
     return solve
 

@@ -25,8 +25,10 @@ hash covers the text, CSV and JSON reports of `emit_report`, with the
 timings removed from every row and the JSON `env` block emptied, so runs
 that differ only in where they ran (library versions, OMP_NUM_THREADS)
 hash alike.  The sweeps are the three benchmark
-workloads and two more that reach p3_interp with poly4 and p2c_interp with
-condition estimates.
+workloads and three more: p3_interp with poly4, p2c_interp with condition
+estimates, and p3_interp with condition estimates, whose pk_lagrange k=3
+baseline runs the inverse iteration on the Schur complement of its centroid
+block.
 pytest does not collect this file.
 """
 
@@ -69,6 +71,7 @@ SWEEPS = (
     {"family": "p2nc_interp", "levels": (2, 3, 4, 5), "compare": True, "condition": True},
     {"family": "p3_interp", "levels": (2, 3, 4, 5), "compare": True, "problem": "poly4"},
     {"family": "p2c_interp", "levels": (1, 2, 3, 4, 5), "compare": True, "condition": True},
+    {"family": "p3_interp", "levels": (2, 3, 4), "compare": True, "condition": True},
 )
 
 

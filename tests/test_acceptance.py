@@ -278,7 +278,7 @@ def _random_geoms(rng, n):
 def _perturbed_geoms(n):
     mesh = build_crisscross_mesh(3, perturb=0.25)
     rng = np.random.default_rng(3)
-    ids = rng.choice(mesh.num_triangles, size=n, replace=False)
+    ids = rng.choice(len(mesh.triangles), size=n, replace=False)
     return [TriGeom.from_vertices(mesh.vertices[mesh.triangles[t]]) for t in ids]
 
 

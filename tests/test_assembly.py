@@ -57,6 +57,7 @@ def test_resolve_degree_validation():
     with pytest.raises(ValueError):
         resolve_degree("p2c_interp", True)
     assert resolve_degree("pk_lagrange", np.int64(3)) == 3
+    assert type(resolve_degree("pk_lagrange", np.int64(3))) is int
 
 
 def test_dof_counts_level2_p2c():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -142,8 +143,26 @@ def test_config_validation():
     with pytest.raises(ValueError, match="integer degree"):
         ExperimentConfig(family="pk_lagrange", degree=True, levels=(1,))
     assert ExperimentConfig(family="p3_interp", levels=(np.int64(2), np.int64(3))).degree == 3
+    # numpy integers are stored as plain ints, so the JSON report takes them
+    for kwargs in ({"degree": np.int64(4), "levels": (1,)},
+                   {"degree": 4, "levels": (np.int64(1), np.int64(2))}):
+        np_cfg = ExperimentConfig(family="pk_interp", **kwargs)
+        assert type(np_cfg.degree) is int and all(type(v) is int for v in np_cfg.levels)
+        config = json.loads(emit_report(ConvergenceReport(config=np_cfg), "json"))["config"]
+        assert config["degree"] == 4 and config["levels"] == list(kwargs["levels"])
     with pytest.raises(ValueError):
         emit_report(ConvergenceReport(config=cfg), "xml")
+
+
+def test_config_cannot_be_changed_after_it_is_made():
+    # a field set afterwards would skip every check: compare on a family
+    # with no baseline failed deep in the run with "unknown family None"
+    cfg = ExperimentConfig(family="p2nc_std", levels=(1,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.compare = True
+    with pytest.raises(ValueError, match="has no matching baseline"):
+        dataclasses.replace(cfg, compare=True)
+    assert dataclasses.replace(cfg, levels=(1, 2)).levels == (1, 2)
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from igfem.poly import (bernstein_values, make_quad_rule, multi_indices, num_coe
 def perturbed_geoms(n=6):
     mesh = build_crisscross_mesh(3, perturb=0.25)
     rng = np.random.default_rng(42)
-    ids = rng.choice(mesh.num_triangles, size=n, replace=False)
+    ids = rng.choice(len(mesh.triangles), size=n, replace=False)
     return [TriGeom.from_vertices(mesh.vertices[mesh.triangles[t]]) for t in ids]
 
 

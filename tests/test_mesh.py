@@ -22,9 +22,9 @@ from igfem.mesh import build_crisscross_mesh, triangle_gauss_points
 ])
 def test_counts(level, nv, nt, ne, nb):
     m = build_crisscross_mesh(level)
-    assert m.num_vertices == nv
-    assert m.num_triangles == nt
-    assert m.num_edges == ne
+    assert len(m.vertices) == nv
+    assert len(m.triangles) == nt
+    assert len(m.edges) == ne
     assert int(m.edge_boundary.sum()) == nb
     assert len(m.macro_corners) == m.n ** 2
     assert m.h == pytest.approx(1.0 / m.n)
@@ -33,7 +33,7 @@ def test_counts(level, nv, nt, ne, nb):
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_euler_characteristic(level):
     m = build_crisscross_mesh(level)
-    assert m.num_vertices - m.num_edges + m.num_triangles == 1
+    assert len(m.vertices) - len(m.edges) + len(m.triangles) == 1
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -48,7 +48,7 @@ def test_topology_invariants(level):
     sides = Counter(tuple(sorted(side)) for a, b, c in t.tolist()
                     for side in ((a, b), (b, c), (c, a)))
     n_adjacent = np.array([sides[tuple(e)] for e in m.edges.tolist()])
-    assert sum(sides.values()) == n_adjacent.sum() == 3 * m.num_triangles
+    assert sum(sides.values()) == n_adjacent.sum() == 3 * len(m.triangles)
     assert np.all(n_adjacent[m.edge_boundary] == 1)
     assert np.all(n_adjacent[~m.edge_boundary] == 2)
     # each triangle contains exactly one macro-square center
@@ -197,7 +197,7 @@ def _conic_residual(pts):
 def test_six_gauss_points_on_a_conic(perturb):
     m = build_crisscross_mesh(3, perturb=perturb)
     rng = np.random.default_rng(11)
-    for t in rng.choice(m.num_triangles, size=12, replace=False):
+    for t in rng.choice(len(m.triangles), size=12, replace=False):
         pts = triangle_gauss_points(m.vertices[m.triangles[t]])
         assert _conic_residual(pts) < 1e-12
 

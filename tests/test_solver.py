@@ -1,4 +1,5 @@
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 
 import igfem.solver
 from igfem.assembly import assemble_system, build_space
-from igfem.cli import PROBLEMS
+from igfem.cli import PROBLEMS, ExperimentConfig, run_experiment
 from igfem.mesh import build_crisscross_mesh
 from igfem.solver import (SolveStats, SolverError, _lanczos_max, _top_ritz, cg_solve,
                           estimate_condition)
@@ -334,12 +335,34 @@ def test_condition_solves_on_the_schur_complement_of_the_diagonal_block(
     est = estimate_condition(A)
     assert est.converged and matrices
     if condensed:
-        m = A.shape[0] - mesh.num_triangles
+        m = A.shape[0] - len(mesh.triangles)
         assert all(M.shape == (m, m) for M in matrices)
     else:
         assert all(M is A for M in matrices)
     assert est.lambda_min_nonzero == pytest.approx(np.linalg.eigvalsh(A.toarray())[0],
                                                    rel=1e-6)
+
+
+@pytest.mark.parametrize("family,k,levels,compare", [
+    ("p2nc_interp", None, (2, 3, 4, 5), True), ("pk_lagrange", 3, (2, 3, 4), False)])
+def test_condition_solves_finish_well_inside_the_default_budget(monkeypatch, family, k,
+                                                                 levels, compare):
+    # the inverse iteration's solves, on A or on its Schur complement, share
+    # the level solve's budget max(20 n, 50); each takes a small part of it
+    shares = []
+
+    def recording_cg(M, v, **kwargs):
+        x, stats = cg_solve(M, v, **kwargs)
+        shares.append(stats.iterations / max(20 * M.shape[0], 50))
+        return x, stats
+
+    monkeypatch.setattr(igfem.solver, "cg_solve", recording_cg)
+    report = run_experiment(ExperimentConfig(family=family, degree=k, levels=levels,
+                                             compare=compare, condition=True))
+    assert not report.failures and shares
+    assert all(math.isfinite(r["cond_est"])
+               for r in report.rows + (report.baseline_rows or []))
+    assert max(shares) <= 0.1
 
 
 def test_condition_nonpositive_trailing_diagonal_not_converged():
